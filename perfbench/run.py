@@ -7,12 +7,11 @@ Usage (from the repository root)::
 ``--trace 0`` measures the end-to-end metrics with no instrumentation.
 ``--trace 1`` runs the workload's first ``traced_passes`` repetitions (sized
 to take about 30 s), each once untraced and once under the span tracer
-(:mod:`tracer`).  It prints the per-layer table (spans, total and self
-seconds per traced repetition) and reports the per-layer metrics: layer
-time as a share of the traced wall time, layer counters, the unattributed
-remainder and the tracing overhead (traced minus untraced wall time of the
-same repetitions).  Spans and the table are written under
-``.bench_build/perfbench/``.
+(:mod:`tracer`).  It prints the per-layer table and reports the per-layer
+metrics, all per traced repetition: each layer's spans, total and self
+seconds, layer counters, the unattributed remainder and the tracing
+overhead (traced minus untraced wall time of the same repetitions).  Spans
+and the table are written under ``.bench_build/perfbench/``.
 
 The metrics print one per line with their units, followed by the share of
 failed operations; the last line of standard output is one JSON object with
@@ -34,7 +33,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_PROBES = 3
+#: Cold set-ups per run; each costs about 0.35 s, and a single one varies
+#: by about 30% with the host.
+SETUP_PROBES = 15
 
 #: (name, unit) of every end-to-end metric, in BENCHMARK.json order.
 END_TO_END = (
@@ -51,19 +52,16 @@ def per_layer_metrics():
     """(name, unit) of every per-layer metric, in BENCHMARK.json order."""
     from tracer import LAYERS
 
-    # Layer time is given as a share of the traced wall time: a layer a
-    # workload never enters would otherwise report the same 0 s every run.
-    # The seconds are in the printed table and the written layers file.
     metrics = []
     for layer in LAYERS:
-        metrics += [(f"{layer}.spans", "count"), (f"{layer}.total_pct", "%"),
-                    (f"{layer}.self_pct", "%")]
+        metrics += [(f"{layer}.spans", "count"), (f"{layer}.total_s", "s"),
+                    (f"{layer}.self_s", "s")]
     metrics += [
         ("netsim.engine.events", "count"), ("netsim.engine.cancelled_skip_ratio", "ratio"),
         ("netsim.medium.frames_sent", "count"), ("netsim.medium.delivery_ratio", "ratio"),
         ("netsim.mobility.ticks", "count"),
-        ("olsr.control_msgs", "count"), ("olsr.hello_self_pct", "%"),
-        ("olsr.tc_self_pct", "%"),
+        ("olsr.control_msgs", "count"), ("olsr.hello_self_s", "s"),
+        ("olsr.tc_self_s", "s"),
         ("logs.records", "count"), ("logs.useful_ratio", "ratio"),
         ("core.detector.scans", "count"), ("core.detector.triggers", "count"),
         ("core.investigation.rounds", "count"), ("core.investigation.queries", "count"),
@@ -107,25 +105,29 @@ def run_for(workload, seed: int, workdir: Path, tracer, until: float):
 
 
 def end_to_end(reps, setup_s: float):
-    batches = [batch for rep in reps for batch in rep.batches]
+    # Per repetition first: on a shared host the CPU's speed can change
+    # every few seconds, and a median over single batches then lands
+    # between two speeds.
+    cell_wall_s = statistics.median(
+        sum(seconds for seconds, _ in rep.batches) / sum(cells for _, cells in rep.batches)
+        for rep in reps)
+    # Failed requests are not in the percentiles (see workloads); they are
+    # the failed share printed next to them.
     latencies_ms = [1000.0 * latency for rep in reps for latency in rep.latencies]
     cuts = statistics.quantiles(latencies_ms, n=100, method="inclusive")
     values = {
         "setup_s": setup_s,
-        # Per repetition first: on a shared host the CPU's speed can change
-        # every few seconds, and a median over single batches then lands
-        # between two speeds.
-        "cell_wall_s": statistics.median(
-            sum(seconds for seconds, _ in rep.batches) / sum(cells for _, cells in rep.batches)
-            for rep in reps),
-        "cells_per_s": (sum(cells for _, cells in batches)
-                        / sum(seconds for seconds, _ in batches)),
+        "cell_wall_s": cell_wall_s,
+        "cells_per_s": 1.0 / cell_wall_s,
         "serve_p50_ms": cuts[49],
         "serve_p99_ms": cuts[98],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    notes = [f"# {len(batches)} writer batches, {len(latencies_ms)} reader requests "
-             f"({len(latencies_ms) // 100} samples beyond p99), {len(reps)} repetitions"]
+    requests = sum(rep.requests for rep in reps)
+    notes = [f"# {sum(len(rep.batches) for rep in reps)} writer batches, {len(reps)} "
+             f"repetitions; {requests} reader requests, {len(latencies_ms)} answered "
+             f"correctly ({len(latencies_ms) // 100} samples beyond p99), "
+             f"{requests - len(latencies_ms)} failed"]
     return values, notes
 
 
@@ -138,9 +140,6 @@ def per_layer(table, tracer, traced, untraced_wall: float):
     def over(field: str, *suffixes: str) -> float:
         return sum(f[field] for name, f in functions.items() if name.endswith(suffixes))
 
-    def pct(seconds: float) -> float:
-        return 100.0 * _ratio(seconds, table["wall_s"])
-
     sub: dict = {}
     for rep in traced:
         for key, value in rep.substrate.items():
@@ -150,8 +149,8 @@ def per_layer(table, tracer, traced, untraced_wall: float):
     values = {}
     for layer, row in layers.items():
         values[f"{layer}.spans"] = row["spans"] / n
-        values[f"{layer}.total_pct"] = pct(row["total_s"])
-        values[f"{layer}.self_pct"] = pct(row["self_s"])
+        values[f"{layer}.total_s"] = row["total_s"] / n
+        values[f"{layer}.self_s"] = row["self_s"] / n
     values.update({
         "netsim.engine.events": sub.get("events", 0) / n,
         "netsim.engine.cancelled_skip_ratio": _ratio(
@@ -162,8 +161,8 @@ def per_layer(table, tracer, traced, untraced_wall: float):
                                                sub.get("frames_attempted", 0)),
         "netsim.mobility.ticks": over("spans", "._advance") / n,
         "olsr.control_msgs": sub.get("control_msgs", 0) / n,
-        "olsr.hello_self_pct": pct(over("self_s", "OlsrNode.process_hello")),
-        "olsr.tc_self_pct": pct(over("self_s", "OlsrNode.process_tc")),
+        "olsr.hello_self_s": over("self_s", "OlsrNode.process_hello") / n,
+        "olsr.tc_self_s": over("self_s", "OlsrNode.process_tc") / n,
         "logs.records": sub.get("records", 0) / n,
         "logs.useful_ratio": _ratio(sub.get("useful_records", 0), sub.get("records", 0)),
         "core.detector.scans": over("spans", "LocalDetector.scan") / n,
@@ -221,7 +220,6 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload]
     seed = DEFAULT_SEED if args.seed is None else args.seed
 
-    setup_s = measure_setup(workload.name, seed, workdir)
     set_up(workload, seed, workdir)  # warm this process's imports and caches
 
     tracer = Tracer()
@@ -254,7 +252,7 @@ def main(argv=None) -> int:
                   for layer, row in table["layers"].items()]
     else:
         reps = run_for(workload, seed, workdir, tracer, started + args.seconds)
-        values, notes = end_to_end(reps, setup_s)
+        values, notes = end_to_end(reps, measure_setup(workload.name, seed, workdir))
         units = dict(END_TO_END)
 
     attempted = sum(rep.attempted for rep in reps)

@@ -31,7 +31,7 @@ SMOKE = {
 
 
 def smoke(name: str, **changes) -> workloads.Workload:
-    fields = dict(SMOKE[name], reads_per_batch=12, traced_passes=1, pinned_digest=None)
+    fields = dict(SMOKE[name], traced_passes=1, pinned_digest=None)
     fields.update(changes)
     return dataclasses.replace(workloads.WORKLOADS[name], **fields)
 
@@ -81,6 +81,8 @@ def test_wrong_served_body_counts_as_failed_not_fatal(tmp_path, monkeypatch):
     wrong = workloads.run_repetition(workload, 0, 0, tmp_path, tracer.Tracer())
     assert wrong.attempted == rep.attempted
     assert wrong.failed > rep.failed
+    # A failed request gives no serve latency.
+    assert len(wrong.latencies) == wrong.requests - wrong.failed
     assert workloads.gate_errors(workload, 0, [wrong]) == []
 
 
