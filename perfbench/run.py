@@ -13,6 +13,14 @@ seconds, layer counters, the unattributed remainder and the tracing
 overhead (traced minus untraced wall time of the same repetitions).  Spans
 and the table are written under ``.bench_build/perfbench/``.
 
+End-to-end timings are seconds at the nominal host speed: every writer
+batch, reader burst and cold set-up is scaled by how fast the host ran the
+fixed reference work of :mod:`reference` right before and after it, which
+takes out the shared host's changes of speed.  ``cell_wall_s`` is the run's
+scaled writer seconds over its cells; the serve percentiles are over the
+scaled latencies of correctly answered requests.  A note line gives the
+same timings in raw seconds.
+
 The metrics print one per line with their units, followed by the share of
 failed operations; the last line of standard output is one JSON object with
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  The exit code is 1
@@ -82,16 +90,17 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
 
 
-def measure_setup(workload_name: str, seed: int, workdir: Path) -> float:
-    """Median cold set-up time over several fresh interpreters."""
+def measure_setup(workload_name: str, seed: int, workdir: Path):
+    """Median cold set-up time over several fresh interpreters: (seconds at
+    the nominal host speed, raw seconds)."""
     probe = Path(__file__).with_name("setup_probe.py")
     timings = []
     for _ in range(SETUP_PROBES):
         done = subprocess.run(
             [sys.executable, str(probe), workload_name, str(seed), str(workdir)],
             cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
-        timings.append(float(done.stdout.strip().splitlines()[-1]))
-    return statistics.median(timings)
+        timings.append([float(value) for value in done.stdout.split()[-2:]])
+    return tuple(statistics.median(column) for column in zip(*timings))
 
 
 def run_for(workload, seed: int, workdir: Path, tracer, until: float):
@@ -104,30 +113,37 @@ def run_for(workload, seed: int, workdir: Path, tracer, until: float):
     return reps
 
 
-def end_to_end(reps, setup_s: float):
-    # Per repetition first: on a shared host the CPU's speed can change
-    # every few seconds, and a median over single batches then lands
-    # between two speeds.
-    cell_wall_s = statistics.median(
-        sum(seconds for seconds, _ in rep.batches) / sum(cells for _, cells in rep.batches)
-        for rep in reps)
+def end_to_end(reps, setup):
+    """The end-to-end metrics of a run; ``setup`` is ``measure_setup``'s
+    pair.  Timings are at the nominal host speed (see :mod:`reference`);
+    the notes give them in raw seconds too."""
+    batches = [batch for rep in reps for batch in rep.batches]
+    cells = sum(count for _, count, _ in batches)
+    cell_wall_s = sum(seconds for _, _, seconds in batches) / cells
     # Failed requests are not in the percentiles (see workloads); they are
     # the failed share printed next to them.
-    latencies_ms = [1000.0 * latency for rep in reps for latency in rep.latencies]
-    cuts = statistics.quantiles(latencies_ms, n=100, method="inclusive")
+    cuts = statistics.quantiles([1000.0 * latency for rep in reps
+                                 for _, latency in rep.latencies],
+                                n=100, method="inclusive")
     values = {
-        "setup_s": setup_s,
+        "setup_s": setup[0],
         "cell_wall_s": cell_wall_s,
         "cells_per_s": 1.0 / cell_wall_s,
         "serve_p50_ms": cuts[49],
         "serve_p99_ms": cuts[98],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
+    raw = statistics.quantiles([1000.0 * latency for rep in reps
+                                for latency, _ in rep.latencies],
+                               n=100, method="inclusive")
+    answered = sum(len(rep.latencies) for rep in reps)
     requests = sum(rep.requests for rep in reps)
-    notes = [f"# {sum(len(rep.batches) for rep in reps)} writer batches, {len(reps)} "
-             f"repetitions; {requests} reader requests, {len(latencies_ms)} answered "
-             f"correctly ({len(latencies_ms) // 100} samples beyond p99), "
-             f"{requests - len(latencies_ms)} failed"]
+    notes = [f"# {len(batches)} writer batches, {len(reps)} repetitions; {requests} "
+             f"reader requests, {answered} answered correctly ({answered // 100} "
+             f"samples beyond p99), {requests - answered} failed",
+             f"# raw seconds: setup_s {setup[1]:.6f}, cell_wall_s "
+             f"{sum(seconds for seconds, _, _ in batches) / cells:.6f}, serve_p50_ms "
+             f"{raw[49]:.6f}, serve_p99_ms {raw[98]:.6f}"]
     return values, notes
 
 

@@ -2,11 +2,15 @@
 
 Usage: ``python3 perfbench/setup_probe.py <workload> <seed> <workdir>``;
 prints the seconds from before the first import to the end of
-:func:`workloads.set_up`.
+:func:`workloads.set_up`, first at the nominal host speed (see
+:mod:`reference`), then raw.
 """
 
 import time
 
+from reference import reference_s, scaled
+
+BEFORE = reference_s()
 STARTED = time.perf_counter()
 
 import sys  # noqa: E402
@@ -19,4 +23,5 @@ import workloads  # noqa: E402
 if __name__ == "__main__":
     name, seed, workdir = sys.argv[1], int(sys.argv[2]), Path(sys.argv[3])
     workloads.set_up(workloads.WORKLOADS[name], seed, workdir)
-    print(time.perf_counter() - STARTED)
+    elapsed = time.perf_counter() - STARTED
+    print(scaled(elapsed, BEFORE, reference_s()), elapsed)

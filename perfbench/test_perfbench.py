@@ -15,6 +15,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
+import reference  # noqa: E402
 import run as bench  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
@@ -41,13 +42,23 @@ def test_smoke_run_reports_every_end_to_end_metric(name, tmp_path):
     workload = smoke(name)
     reps = [workloads.run_repetition(workload, 0, index, tmp_path, tracer.Tracer())
             for index in range(2)]
-    values, notes = bench.end_to_end(reps, setup_s=0.5)
+    values, notes = bench.end_to_end(reps, setup=(0.5, 0.5))
     assert [metric for metric, _ in bench.END_TO_END] == list(values)
     assert all(value > 0 for value in values.values())
     assert workloads.gate_errors(workload, 0, reps) == []
     assert all(rep.failed == rep.stale for rep in reps)
     if workload.backend == "netsim":
         assert all(rep.attacker_investigated for rep in reps)
+
+
+def test_timings_are_scaled_by_the_reference_around_them(tmp_path):
+    assert reference.scaled(0.5, 0.002, 0.004) == pytest.approx(
+        0.5 * reference.REFERENCE_S / 0.003)
+    rep = workloads.run_repetition(smoke("sweep-serve"), 0, 0, tmp_path, tracer.Tracer())
+    assert all(seconds > 0 and scaled > 0 for seconds, _, scaled in rep.batches)
+    assert all(seconds > 0 and scaled > 0 for seconds, scaled in rep.latencies)
+    values, notes = bench.end_to_end([rep], setup=(0.5, 0.6))
+    assert values["setup_s"] == 0.5 and "setup_s 0.600000" in notes[1]
 
 
 def test_non_default_seed_runs_and_changes_the_inputs(tmp_path):

@@ -11,6 +11,10 @@ cell grid is a *repetition*.  Each repetition has its own base seed, derived
 from the run's seed, so a run measures many scenarios (for the netsim cells,
 many random topologies) and its medians do not hang on one of them.
 
+Each writer batch and each reader burst is timed between two runs of the
+reference work of :mod:`reference`, also outside the timed region, and
+recorded both in raw seconds and in seconds at the nominal host speed.
+
 Gates, checked outside the timed region:
 
 * at :data:`DEFAULT_SEED` the first repetition's stored rows equal the pinned
@@ -39,6 +43,7 @@ from repro.experiments.results import ResultsStore
 from repro.fabric.service import ResultsService
 from repro.seeding import stable_seed
 
+from reference import reference_s, scaled
 from tracer import BENCH, Tracer
 
 #: Seed whose stored-rows digests are pinned in :data:`WORKLOADS`.
@@ -118,14 +123,17 @@ WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
         traced_passes=12,
         pinned_digest="08bacf38488544c09ae1553871709a69a7f745d543df86e06273464965f8b0ec",
     ),
+    # A 2x2 grid in two writer batches: with the stale-cache defect only the
+    # first reader burst of a repetition is answered correctly, so short
+    # repetitions are what give the serve percentiles their samples (about
+    # 50 report builds a run).
     Workload(
         name="sweep-serve", experiment="confidence_sweep", backend="oracle",
         params={"total_nodes": 128, "rounds": 100},
-        axes={"confidence_level": (0.8, 0.85, 0.9, 0.95, 0.99),
-              "gamma": (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)},
+        axes={"confidence_level": (0.9, 0.99), "gamma": (0.3, 0.7)},
         batch_cells=2,
-        traced_passes=2,
-        pinned_digest="d90121786cff47709b1ef4c3007b45ac686b0bfcb99533074f77a18cbb645003",
+        traced_passes=20,
+        pinned_digest="545126c9f377b991906cb263288625d9d67387f2df670be122c5da31efd42cdf",
     ),
 )}
 
@@ -135,10 +143,11 @@ class Repetition:
     """Measurements and gate results of one pass over a workload's grid."""
 
     wall_s: float = 0.0
-    #: (seconds, cells) per writer batch.
-    batches: List[Tuple[float, int]] = field(default_factory=list)
-    #: Seconds per correctly answered reader request.
-    latencies: List[float] = field(default_factory=list)
+    #: (seconds, cells, seconds at the nominal host speed) per writer batch.
+    batches: List[Tuple[float, int, float]] = field(default_factory=list)
+    #: (seconds, seconds at the nominal host speed) per correctly answered
+    #: reader request.
+    latencies: List[Tuple[float, float]] = field(default_factory=list)
     requests: int = 0
     failed: int = 0
     stale: int = 0
@@ -153,7 +162,7 @@ class Repetition:
 
     @property
     def attempted(self) -> int:
-        return sum(cells for _, cells in self.batches) + self.requests
+        return sum(cells for _, cells, _ in self.batches) + self.requests
 
 
 def rows_digest(rows) -> str:
@@ -256,6 +265,15 @@ def run_repetition(workload: Workload, seed: int, index: int, workdir: Path,
     etags: Dict[str, str] = {}
     untimed = 0.0
 
+    def host_speed() -> float:
+        """Seconds of the reference work now, left out of the timings."""
+        nonlocal untimed
+        began = time.perf_counter()
+        with tracer.untimed("reference"):
+            seconds = reference_s()
+        untimed += time.perf_counter() - began
+        return seconds
+
     with _ScenarioProbe(keep_scenarios=tracer.enabled) as probe:
         started = time.perf_counter()
         with tracer.span(BENCH, "repetition"):
@@ -268,6 +286,7 @@ def run_repetition(workload: Workload, seed: int, index: int, workdir: Path,
                  "params": kwargs["params"]}, sort_keys=True))
             service = ResultsService(str(store_path))
             done = False
+            reference = host_speed()
             while not done:
                 tracer.begin_operation(f"write:{index}:{len(rep.batches)}")
                 began = time.perf_counter()
@@ -276,7 +295,8 @@ def run_repetition(workload: Workload, seed: int, index: int, workdir: Path,
                     max_new_runs=workload.batch_cells, **kwargs)
                 elapsed = time.perf_counter() - began
                 cells = len(result.executed_run_ids)
-                rep.batches.append((elapsed, cells))
+                rep.batches.append((elapsed, cells,
+                                    scaled(elapsed, reference, host_speed())))
                 done = len(result.skipped_run_ids) + cells >= result.cells()
 
                 check_began = time.perf_counter()
@@ -289,6 +309,8 @@ def run_repetition(workload: Workload, seed: int, index: int, workdir: Path,
                     expected = _fresh_render(str(store_path), workload.paths())
                 untimed += time.perf_counter() - check_began
 
+                reference = host_speed()
+                answered = []
                 for request in range(READS_PER_BATCH):
                     path, conditional = mix[request % len(mix)]
                     sent_etag = etags.get(path) if conditional else None
@@ -306,10 +328,14 @@ def run_repetition(workload: Workload, seed: int, index: int, workdir: Path,
                     else:
                         ok = False
                     if ok:
-                        rep.latencies.append(latency)
+                        answered.append(latency)
                     else:
                         rep.failed += 1
                         rep.stale += status in (200, 304)
+                after = host_speed()
+                rep.latencies += [(latency, scaled(latency, reference, after))
+                                  for latency in answered]
+                reference = after
 
             check_began = time.perf_counter()
             with tracer.untimed("gates"):
