@@ -1,49 +1,46 @@
-"""Table D (extension) — scenario-campaign throughput and determinism.
+"""Table D (extension) — campaign throughput and determinism.
 
-Times a 12-cell campaign (node count × loss model × liar fraction) running
-end to end through :func:`repro.experiments.campaign.run_campaign` and checks
-the two properties the campaign subsystem promises: every cell completes with
-a usable detection row, and re-running the same grid reproduces the formatted
-report byte for byte (stable per-cell seeds, no wall-clock in the output).
+Times a 16-cell ``campaign`` run (node count × loss model × loss probability
+× liar fraction) end to end through
+:func:`repro.experiments.engine.run_experiment` and checks the two
+properties the engine promises: every cell completes with a usable row per
+system, and re-running the same grid reproduces the formatted report byte
+for byte (stable per-cell seeds, no wall-clock in the output).
 """
 
 from __future__ import annotations
 
-import pytest
+from repro.experiments import SYSTEMS, aggregate_rows, format_table, run_experiment
 
-from repro.experiments import format_table
-from repro.experiments.campaign import CampaignGrid, run_campaign
+_GRID = {
+    "axes": {"total_nodes": (8, 12), "liar_fraction": (0.0, 0.25),
+             "loss_model": ("bernoulli", "distance"),
+             "loss_probability": (0.0, 0.2)},
+    "params": {"warmup": 25.0, "cycles": 2},
+}
 
 
-def _small_grid() -> CampaignGrid:
-    return CampaignGrid(
-        node_counts=(8, 12),
-        liar_fractions=(0.0, 0.25),
-        loss_models=("bernoulli:0.0", "bernoulli:0.2", "distance:0.8"),
-        max_speeds=(0.0,),
-        base_seed=7,
-        warmup=25.0,
-        cycles=2,
-    )
+def _run_grid():
+    return run_experiment("campaign", **_GRID)
 
 
 def test_bench_campaign_runs_grid(benchmark, emit):
-    grid = _small_grid()
-    assert grid.size() == 12
-    result = benchmark.pedantic(run_campaign, args=(grid,), rounds=1, iterations=1)
+    result = benchmark.pedantic(_run_grid, rounds=1, iterations=1)
+    assert result.cells() == 16
 
-    rows = result.as_rows()
-    assert len(rows) == 12
+    rows = result.rows()
+    assert len(rows) == 16 * len(SYSTEMS)
     assert all(row["frames_sent"] > 0 for row in rows)
-    emit("TABLE D (Campaign, 12 cells)",
-         format_table(result.aggregate(("nodes", "loss")),
-                      title="Table D — campaign aggregate by node count × loss"))
+    detector = [row for row in rows if row["system"] == "detector"]
+    emit("TABLE D (Campaign, 16 cells)",
+         format_table(aggregate_rows(detector, ("nodes", "loss"),
+                                     ("attacker_trust", "cycles", "flagged")),
+                      title="Table D — detector aggregate by node count × loss"))
 
     # Determinism: a second pass over the same grid is byte-identical.
-    again = run_campaign(_small_grid())
-    assert again.format_report() == result.format_report()
+    assert _run_grid().format_report() == result.format_report()
 
     benchmark.extra_info.update({
-        "cells": len(rows),
-        "events_total": sum(row["events"] for row in rows),
+        "cells": result.cells(),
+        "events_total": sum(row["events"] for row in detector),
     })

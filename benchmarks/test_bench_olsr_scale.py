@@ -27,7 +27,7 @@ import time
 import pytest
 
 from repro.experiments import format_table
-from repro.experiments.campaign import CampaignSpec, execute_spec
+from repro.experiments.engine import execute_cell, get_experiment
 from repro.experiments.scenario import build_manet_scenario
 from repro.netsim.engine import HeapSimulator, Simulator
 from repro.netsim.medium import (
@@ -299,15 +299,23 @@ def test_bench_engine_throughput_vs_heap(benchmark, emit, node_count):
         f"heap engine ({heap_evps:.0f} ev/s), got {speedup:.2f}x")
 
 
+def campaign_cell_spec(node_count: int, area_size: float):
+    """One reduced ``campaign`` cell (2 detection cycles) at the given scale.
+
+    The attack starts at 8 s, inside the 12 s warm-up, so both detection
+    cycles see it (with the default 40 s start the cell would end at 32 s
+    without ever being attacked).
+    """
+    spec, = get_experiment("campaign").expand(
+        axes={"total_nodes": (node_count,), "liar_fraction": (0.1,),
+              "loss_probability": (0.1,), "max_speed": (2.0,)},
+        params={"area_size": area_size, "warmup": 12.0, "attack_start": 8.0,
+                "cycles": 2})
+    return spec
+
+
 def _campaign_cell(node_count: int, area_size: float):
-    """One reduced campaign cell (2 detection cycles) at the given scale."""
-    spec = CampaignSpec(
-        run_id="scale-bench", seed=1, node_count=node_count,
-        liar_fraction=0.1, loss_model="bernoulli", loss_probability=0.1,
-        max_speed=2.0, attack_variant="false_existing_link",
-        area_size=area_size, warmup=12.0, cycles=2,
-    )
-    return execute_spec(spec).as_row()
+    return execute_cell(campaign_cell_spec(node_count, area_size))[0]
 
 
 @pytest.mark.parametrize("node_count,area_size", [(256, 2800.0),
@@ -341,6 +349,7 @@ def test_bench_campaign_cell_scale(benchmark, emit, node_count, area_size):
          format_table(rows, title="Table C''' — campaign cell wall-clock"))
     benchmark.extra_info.update(rows[0])
     assert row["events"] > 0
+    assert row["investigated"], "the attacker was never investigated"
     baseline = os.environ.get("REPRO_SCALE_BASELINE_S")
     if baseline:
         assert elapsed < float(baseline), (

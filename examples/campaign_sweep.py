@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
-"""Detector-vs-baselines scenario campaign with a resumable results store.
+"""Detector-vs-baselines campaign with a resumable results store.
 
-This example shows the campaign runner (:mod:`repro.experiments.campaign`)
-sweeping the paper's detector *and* the related-work baselines
-(:mod:`repro.baselines`) over the same grid of full-stack MANET runs, with
-every completed cell committed to an SQLite results store
+This example runs the ``campaign`` experiment (:mod:`repro.experiments.campaign`):
+each cell is one full-stack MANET run, judged by the paper's detector *and*
+by the related-work baselines (:mod:`repro.baselines`) from the identical
+investigation answers, so one cell yields one row per system.  Every
+completed cell is committed to an SQLite results store
 (:mod:`repro.experiments.results`).  The second invocation of the identical
 grid resumes from the store: nothing is re-simulated, the report is
 re-aggregated from the database and is byte-identical to the first one.
 
 The same sweep is available from the unified experiments CLI::
 
-    python -m repro.experiments campaign \
-        --node-counts 12 --liar-fractions 0.0,0.25 \
-        --systems detector,watchdog,beta,cap-olsr,averaging \
-        --warmup 25 --cycles 3 --workers 4 --db campaign.sqlite --resume
+    python -m repro.experiments run campaign \
+        --axis total_nodes=12 --axis liar_fraction=0.0,0.25 \
+        --param warmup=25 --param cycles=3 --workers 4 \
+        --db campaign.sqlite --resume
 
-    python -m repro.experiments campaign report --db campaign.sqlite
+    python -m repro.experiments report --db campaign.sqlite --experiment campaign \
+        --axis total_nodes=12 --axis liar_fraction=0.0,0.25 \
+        --param warmup=25 --param cycles=3
 
 Usage::
 
@@ -29,33 +32,27 @@ import os
 import tempfile
 import time
 
-from repro.experiments import CampaignGrid, ResultsStore, SYSTEMS, run_campaign
+from repro.experiments import SYSTEMS, ResultsStore, run_experiment
+
+GRID = {
+    "axes": {"total_nodes": (12,), "liar_fraction": (0.0, 0.25)},
+    "params": {"warmup": 25.0, "cycles": 3},
+}
 
 
 def main() -> int:
-    grid = CampaignGrid(
-        node_counts=(12,),
-        liar_fractions=(0.0, 0.25),
-        loss_models=("bernoulli:0.0",),
-        max_speeds=(0.0,),
-        systems=SYSTEMS,
-        base_seed=7,
-        warmup=25.0,
-        cycles=3,
-    )
-    print(f"Expanding the grid into {grid.size()} seeded scenario cells "
-          f"({len(SYSTEMS)} systems x 2 liar fractions)...")
     workers = min(4, os.cpu_count() or 1)
+    print(f"Running 2 scenario cells, each judged by {len(SYSTEMS)} systems...")
 
     with tempfile.TemporaryDirectory() as tmp:
         db_path = os.path.join(tmp, "campaign.sqlite")
 
         with ResultsStore(db_path) as store:
             started = time.perf_counter()
-            result = run_campaign(grid, workers=workers, store=store)
+            result = run_experiment("campaign", workers=workers, store=store, **GRID)
             cold = time.perf_counter() - started
             report = result.format_report()
-            rows = result.as_rows()  # materialise before the store closes
+            rows = result.rows()  # materialise before the store closes
         print(f"\nCold campaign: executed {len(result.executed_run_ids)} cells "
               f"in {cold:.1f} s on {workers} workers.\n")
         print(report)
@@ -64,7 +61,7 @@ def main() -> int:
         # execute and the report is rebuilt from SQLite, byte for byte.
         with ResultsStore(db_path) as store:
             started = time.perf_counter()
-            resumed = run_campaign(grid, workers=workers, store=store)
+            resumed = run_experiment("campaign", workers=workers, store=store, **GRID)
             warm = time.perf_counter() - started
             resumed_report = resumed.format_report()
         print(f"\nResumed campaign: skipped {len(resumed.skipped_run_ids)} stored "
@@ -77,7 +74,7 @@ def main() -> int:
             flagged[row["system"]] = flagged.get(row["system"], 0) + 1
     print("\nCells where each system flagged the attacker as an intruder:")
     for system in SYSTEMS:
-        print(f"  {system:<10} {flagged.get(system, 0)}/{grid.size() // len(SYSTEMS)}")
+        print(f"  {system:<10} {flagged.get(system, 0)}/{result.cells()}")
 
     detects = {row["liar_fraction"]: row["final_detect"]
                for row in rows if row["system"] == "detector"}

@@ -7,8 +7,9 @@ pytest-benchmark tables:
 
 * engine events/sec on the 256-node campaign-shaped scheduler workload,
   timer-wheel vs the retained PR 8 heap engine;
-* wall-clock of one reduced 256-node campaign cell (2 detection cycles),
-  with the engine counters of the run;
+* wall-clock of one reduced 256-node ``campaign`` cell (2 detection cycles,
+  the attack starting inside warm-up), with the engine counters of the run;
+  the script exits non-zero if the cell never investigated the attacker;
 * mobility tick throughput (vectorised vs scalar) at 1,024 nodes.
 
 Usage::
@@ -37,7 +38,10 @@ sys.path.insert(0, str(REPO_ROOT))
 from repro.netsim.engine import HeapSimulator, Simulator  # noqa: E402
 from repro.netsim.mobility import RandomWalkMobility  # noqa: E402
 
-from benchmarks.test_bench_olsr_scale import _engine_workload  # noqa: E402
+from benchmarks.test_bench_olsr_scale import (  # noqa: E402
+    _engine_workload,
+    campaign_cell_spec,
+)
 
 SCHEMA = "repro.bench_engine/1"
 
@@ -70,24 +74,24 @@ def bench_engine_throughput(node_count: int = 256, repeats: int = 3) -> dict:
 
 def bench_campaign_cell(node_count: int = 256, area_size: float = 2800.0) -> dict:
     """Wall-clock of one reduced campaign cell on the current engine."""
-    from repro.experiments.campaign import CampaignSpec, execute_spec
+    from repro.experiments.backends import run_netsim_cell, scenario_config_from_params
+    from repro.experiments.engine import get_experiment
 
-    spec = CampaignSpec(
-        run_id="bench-report", seed=1, node_count=node_count,
-        liar_fraction=0.1, loss_model="bernoulli", loss_probability=0.1,
-        max_speed=2.0, attack_variant="false_existing_link",
-        area_size=area_size, warmup=12.0, cycles=2,
-    )
+    spec = campaign_cell_spec(node_count, area_size)
+    params = spec.params_dict()
     started = time.perf_counter()
-    result = execute_spec(spec)
+    # The backend call execute_cell makes, kept here for the engine counters.
+    result = run_netsim_cell(scenario_config_from_params(params, spec.seed), params)
     elapsed = time.perf_counter() - started
-    row = result.as_row()
+    row = get_experiment("campaign").rows_from_result(spec, result)[0]
     return {
         "nodes": node_count,
         "area_m": area_size,
         "wall_clock_s": round(elapsed, 2),
         "events": row["events"],
         "events_per_s": round(row["events"] / elapsed),
+        "attacker_investigated": row["investigated"],
+        "detection_cycles": row["cycles"],
         "engine_counters": result.stats.get("engine", {}),
     }
 
@@ -153,13 +157,18 @@ def main(argv=None) -> int:
     print(f"mobility ticks: {report['mobility_ticks']['speedup']}x "
           "vector over scalar", flush=True)
     if not args.skip_cell:
-        report["campaign_cell"] = bench_campaign_cell(args.cell_nodes)
+        cell = report["campaign_cell"] = bench_campaign_cell(args.cell_nodes)
         print(f"campaign cell ({args.cell_nodes} nodes): "
-              f"{report['campaign_cell']['wall_clock_s']}s", flush=True)
+              f"{cell['wall_clock_s']}s, attacker investigated in "
+              f"{cell['detection_cycles']} cycles", flush=True)
 
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {output}")
+    if not args.skip_cell and not report["campaign_cell"]["attacker_investigated"]:
+        print("error: the campaign cell never investigated the attacker",
+              file=sys.stderr)
+        return 1
     return 0
 
 

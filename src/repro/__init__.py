@@ -41,6 +41,7 @@ from repro.experiments import (
     build_manet_scenario,
     run_ablation,
     run_confidence_sweep,
+    run_experiment,
     run_figure1,
     run_figure2,
     run_figure3,
@@ -49,16 +50,11 @@ from repro.trust import TrustManager, TrustParameters, confidence_interval
 
 __version__ = "1.0.0"
 
-# Lazy campaign/results exports (PEP 562); see repro.experiments.__getattr__.
-_CAMPAIGN_EXPORTS = ("CampaignGrid", "CampaignResult", "run_campaign")
+# Lazy results exports (PEP 562); see repro.experiments.__getattr__.
 _RESULTS_EXPORTS = ("ResultsStore",)
 
 
 def __getattr__(name):
-    if name in _CAMPAIGN_EXPORTS:
-        from repro.experiments import campaign
-
-        return getattr(campaign, name)
     if name in _RESULTS_EXPORTS:
         from repro.experiments import results
 
@@ -67,8 +63,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "CampaignGrid",
-    "CampaignResult",
     "DecisionOutcome",
     "DetectionConfig",
     "DetectorNode",
@@ -86,8 +80,8 @@ __all__ = [
     "decide",
     "evaluate_investigation",
     "run_ablation",
-    "run_campaign",
     "run_confidence_sweep",
+    "run_experiment",
     "run_figure1",
     "run_figure2",
     "run_figure3",

@@ -1,8 +1,6 @@
 """Unified experiment CLI: ``python -m repro.experiments``.
 
-One entry point for the whole evaluation harness, replacing the campaign-only
-``python -m repro.experiments.campaign`` (which keeps working for
-compatibility)::
+One entry point for the whole evaluation harness::
 
     python -m repro.experiments list
     python -m repro.experiments run figure3 --workers 4
@@ -10,7 +8,7 @@ compatibility)::
     python -m repro.experiments run figure1 --backend netsim --param cycles=6
     python -m repro.experiments run figure3 --axis "liar_ratio=6.7%,50%"
     python -m repro.experiments run figure1 --backend netsim --axis profile=paper-static,rpgm
-    python -m repro.experiments campaign --node-counts 8,16 --workers 4
+    python -m repro.experiments run campaign --axis total_nodes=8,16 --workers 4
     python -m repro.experiments report --db sweep.sqlite --experiment confidence_sweep
     python -m repro.experiments validate --seeds 25
     python -m repro.experiments fabric dispatch figure3 --queue fabric.sqlite
@@ -24,11 +22,10 @@ compatibility)::
 resume (``--db``/``--resume``), backend selection (``--backend
 oracle|netsim``) and arbitrary axis/parameter overrides (``--axis
 name=v1,v2``, ``--param name=value`` — including the scenario-profile axis
-``profile``, see :mod:`repro.scenarios`).  ``campaign`` forwards to the
-scenario-campaign CLI unchanged; ``report`` re-aggregates a stored run
-without executing anything; ``validate`` fuzzes seeded scenario profiles
-through the invariant checkers and the oracle↔netsim differential harness
-(:mod:`repro.validation`).
+``profile``, see :mod:`repro.scenarios`).  ``report`` re-aggregates a
+stored run without executing anything; ``validate`` fuzzes seeded scenario
+profiles through the invariant checkers and the oracle↔netsim differential
+harness (:mod:`repro.validation`).
 """
 
 from __future__ import annotations
@@ -481,8 +478,7 @@ _USAGE = f"""usage: {_PROG} <command> ...
 commands:
   list        list the registered experiments and scenario profiles
   run         run one experiment (parallel fan-out, resume, backend swap)
-  campaign    run a declarative scenario campaign (full MANET grid)
-  report      re-aggregate a stored run/campaign (--db) or fetch it from a
+  report      re-aggregate a stored run (--db) or fetch it from a
               fabric results service (--url)
   validate    fuzz scenario profiles through invariant + differential checks
   attack-search
@@ -503,10 +499,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return list_main(rest)
     if command == "run":
         return run_main(rest)
-    if command == "campaign":
-        from repro.experiments import campaign
-
-        return campaign.main(rest)
     if command == "report":
         return report_main(rest)
     if command == "validate":

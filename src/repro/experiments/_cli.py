@@ -1,9 +1,7 @@
 """Helpers shared by the experiment CLIs.
 
-Both ``python -m repro.experiments`` and the standalone campaign CLI
-(``python -m repro.experiments.campaign``) open results stores and emit
-reports the same way; keeping the logic here stops the two front ends from
-drifting apart.
+``python -m repro.experiments`` and its ``fabric`` subcommands parse axis
+and parameter overrides, open results stores and emit reports the same way.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Unified experiment engine: declarative specs, a registry, one runtime.
 
-Before this module every evaluation driver (``figure1``–``figure3``, the
-ablation, the confidence/γ sweep, the gravity ablation, the mobility study)
-hand-rolled its own run loop, result dataclass and output path, and only the
-scenario campaign enjoyed parallel fan-out, durable resume and streaming
-aggregation.  The engine gives *every* experiment that infrastructure:
+Every evaluation driver (``figure1``–``figure3``, the ablation, the
+confidence/γ sweep, the gravity ablation, the mobility study, the
+detector-vs-baselines ``campaign``) is a registered definition run by the
+same runtime, with parallel fan-out, durable resume and streaming
+aggregation:
 
 * :class:`ExperimentSpec` — one fully-resolved, picklable grid cell: the
   experiment name, its cell id, the stable per-cell seed, the execution
@@ -14,19 +14,18 @@ aggregation.  The engine gives *every* experiment that infrastructure:
 * :class:`ExperimentDefinition` — the declarative description of one
   experiment: its parameter ``axes`` (the sweep), its ``fixed`` parameters,
   how to build a :class:`~repro.experiments.config.ScenarioConfig` from a
-  cell and how to turn the backend's
-  :class:`~repro.experiments.rounds.ExperimentResult` into flat report rows.
+  cell, how to turn the backend's
+  :class:`~repro.experiments.rounds.ExperimentResult` into flat report rows
+  and which aggregate tables the report adds after the rows.
 * a registry (:func:`register`, :func:`get_experiment`,
   :func:`list_experiments`) the CLI and the worker processes resolve names
   against.
 * :func:`run_experiment` — the shared runtime: expands the axes into seeded
   cells, skips cells already present in a
   :class:`~repro.experiments.results.ResultsStore` (resume), fans the rest
-  out over a :class:`~concurrent.futures.ProcessPoolExecutor`, commits every
-  cell as soon as it completes and aggregates the rows into a deterministic
-  report.  The exact same executor
-  (:func:`execute_pending_cells`) powers the scenario campaign
-  (:mod:`repro.experiments.campaign`).
+  out over a :class:`~concurrent.futures.ProcessPoolExecutor`
+  (:func:`execute_pending_cells`), commits every cell as soon as it
+  completes and aggregates the rows into a deterministic report.
 
 Backends (:mod:`repro.experiments.backends`) are pluggable per run: the same
 spec can execute on the fast ``"oracle"`` round loop
@@ -53,7 +52,7 @@ from typing import (
     Tuple,
 )
 
-from repro.experiments.report import format_table, render_report
+from repro.experiments.report import aggregate_rows, format_table, render_report
 from repro.experiments.results import ResultsStore, spec_content_hash
 from repro.seeding import stable_seed
 
@@ -72,6 +71,7 @@ _BUILTIN_MODULES = (
     "repro.experiments.gravity_ablation",
     "repro.experiments.mobility",
     "repro.experiments.adaptivity",
+    "repro.experiments.campaign",
 )
 
 
@@ -149,8 +149,8 @@ class ExperimentDefinition:
     product, in declaration order); ``fixed`` holds the non-swept parameters.
     Any fixed parameter can be promoted to an axis — and any axis overridden —
     at run time (``axes=...`` of :func:`run_experiment`, ``--axis`` on the
-    CLI), which is how the campaign's scenario axes (loss, mobility, liar
-    fraction) apply to every experiment.
+    CLI), which is how the scenario axes (loss, mobility, liar fraction)
+    apply to every experiment.
 
     ``rows_from_result`` turns the backend's
     :class:`~repro.experiments.rounds.ExperimentResult` into the flat,
@@ -159,6 +159,10 @@ class ExperimentDefinition:
     legacy drivers (every cell runs the same scenario seed, so cells differ
     only by their axis values), ``"per-cell"`` derives a distinct
     :func:`~repro.seeding.stable_seed` per cell id (what replications want).
+
+    ``aggregates`` declares the tables the report renders after the row
+    table, each a ``(title, group_by, value_columns)`` triple averaged by
+    :func:`~repro.experiments.report.aggregate_rows` over every row.
     """
 
     name: str
@@ -173,6 +177,7 @@ class ExperimentDefinition:
     #: Optional hook mapping the raw cell parameters to the executable ones
     #: (e.g. figure3 turns its ``liar_ratio`` axis label into a liar count).
     resolve_params: Optional[Callable[[Dict[str, object]], Dict[str, object]]] = None
+    aggregates: Sequence[Tuple[str, Sequence[str], Sequence[str]]] = ()
 
     def __post_init__(self) -> None:
         if self.default_backend not in BACKENDS:
@@ -234,6 +239,9 @@ class ExperimentDefinition:
                 from repro.scenarios import apply_profile
 
                 merged = apply_profile(merged)
+            # Reject impossible scenario values before any cell runs.
+            check_scenario_values(self.resolve_params(dict(merged))
+                                  if self.resolve_params else merged)
             seed = (seed0 if self.seed_mode == "shared"
                     else stable_seed(seed0, f"{self.name}/{cell_id}"))
             specs.append(ExperimentSpec(
@@ -265,6 +273,26 @@ class ExperimentDefinition:
                 f"unknown {kind} {name!r} for experiment {self.name!r} "
                 f"(declared: {', '.join(sorted(known)) or 'none'}; plus any "
                 f"ScenarioConfig field, netsim knob or trust_* parameter)")
+
+
+def check_scenario_values(params: Mapping[str, object]) -> None:
+    """Raise ``ValueError`` for a liar fraction outside [0, 1), a loss
+    probability outside [0, 1], an unknown loss model or an unknown
+    link-spoofing variant."""
+    from repro.core.signatures import LinkSpoofingVariant
+    from repro.experiments.scenario import LOSS_MODELS
+
+    fraction = params.get("liar_fraction")
+    if fraction is not None and not 0.0 <= fraction < 1.0:
+        raise ValueError(f"liar_fraction {fraction} outside [0, 1)")
+    probability = params.get("loss_probability")
+    if probability is not None and not 0.0 <= probability <= 1.0:
+        raise ValueError(f"loss_probability {probability} outside [0, 1]")
+    if "loss_model" in params and params["loss_model"] not in LOSS_MODELS:
+        raise ValueError(f"unknown loss model {params['loss_model']!r} "
+                         f"(expected one of {', '.join(LOSS_MODELS)})")
+    if "attack_variant" in params:
+        LinkSpoofingVariant(params["attack_variant"])
 
 
 def _format_axis_value(value: object) -> str:
@@ -356,7 +384,7 @@ def execute_pending_cells(
     finish: Callable[[object, str, object], None],
     workers: Optional[int] = None,
 ) -> None:
-    """The shared fan-out loop of the engine *and* the scenario campaign.
+    """The engine's fan-out loop.
 
     ``pending`` is a list of ``(payload, digest)`` cells; ``execute`` runs in
     the worker (must be a picklable module-level callable when ``workers`` >
@@ -456,32 +484,36 @@ class ExperimentRunResult:
         When the run sweeps the ``protocol`` axis, the report splits into
         one section per protocol (in sorted order) so cross-protocol runs
         stay readable; single-protocol runs keep the historic single table.
+        The definition's ``aggregates`` follow, computed over every row.
         """
         backend = self.specs[0].backend if self.specs else self.definition.default_backend
         title = (self.definition.report_title
                  or f"{self.definition.name} — {self.definition.description}")
         protocols = sorted({str(spec.param("protocol", "olsr"))
                             for spec in self.specs})
+        rows = self.rows()
         if len(protocols) > 1:
             sections = []
             for protocol in protocols:
                 def keep(spec, _protocol=protocol):
                     return str(spec.param("protocol", "olsr")) == _protocol
-                rows = list(self.iter_rows(keep=keep))
+                protocol_rows = list(self.iter_rows(keep=keep))
                 cells = sum(1 for spec in self.specs if keep(spec))
                 sections.append(format_table(
-                    rows,
+                    protocol_rows,
                     title=f"{title} — protocol={protocol}\n"
-                          f"[{len(rows)} rows from {cells} cells, "
+                          f"[{len(protocol_rows)} rows from {cells} cells, "
                           f"backend={backend}]",
                 ))
         else:
-            rows = self.rows()
             sections = [format_table(
                 rows,
                 title=f"{title}\n[{len(rows)} rows from {self.cells()} cells, "
                       f"backend={backend}]",
             )]
+        sections.extend(
+            format_table(aggregate_rows(rows, group_by, values), title=heading)
+            for heading, group_by, values in self.definition.aggregates)
         return render_report(sections)
 
 
@@ -496,7 +528,7 @@ def run_experiment(
     axes: Optional[Mapping[str, Sequence]] = None,
     params: Optional[Mapping[str, object]] = None,
 ) -> ExperimentRunResult:
-    """Run a registered experiment through the shared campaign runtime.
+    """Run a registered experiment through the shared runtime.
 
     Expands the definition's axes into seeded cells, skips cells whose
     content hash is already in ``store`` (``resume``), executes the rest —

@@ -1,20 +1,18 @@
-"""SQLite-backed, resumable campaign results store.
+"""SQLite-backed, resumable experiment results store.
 
-A scenario campaign (:mod:`repro.experiments.campaign`) can take minutes to
-hours; before this module every :class:`~repro.experiments.campaign.CampaignRunResult`
-lived only in process memory, so a killed campaign lost all completed cells
-and re-aggregation meant re-running the whole grid.  :class:`ResultsStore`
-makes the results durable and the campaign *resumable*:
+An experiment run (:func:`repro.experiments.engine.run_experiment`) can take
+minutes to hours; :class:`ResultsStore` makes its results durable and the
+run *resumable*:
 
 * every completed cell is committed to SQLite as soon as its worker returns,
   keyed by a **content hash** of the fully-resolved
-  :class:`~repro.experiments.campaign.CampaignSpec`;
-* :func:`~repro.experiments.campaign.run_campaign` skips cells whose hash is
-  already present, so a killed campaign restarted with the same grid executes
+  :class:`~repro.experiments.engine.ExperimentSpec`;
+* :func:`~repro.experiments.engine.run_experiment` skips cells whose hash is
+  already present, so a killed run restarted with the same grid executes
   only the missing cells and still produces a report byte-identical to an
   uninterrupted run;
-* reporting streams rows straight from the database cursor, so aggregating a
-  huge stored campaign never materialises every result row in memory.
+* reporting streams rows straight from the database, so re-aggregating a
+  huge stored run never re-executes anything.
 
 Schema (version 1)
 ------------------
@@ -26,9 +24,10 @@ Two tables, created on first open::
     runs(
         spec_hash TEXT PRIMARY KEY,   -- content hash, see spec_content_hash()
         run_id    TEXT NOT NULL,      -- human-readable cell id (indexed)
-        system    TEXT NOT NULL,      -- detector | watchdog | beta | ...
-        spec_json TEXT NOT NULL,      -- canonical JSON of the CampaignSpec
-        row_json  TEXT NOT NULL       -- the flat result row (as_row())
+        system    TEXT NOT NULL,      -- the spec's ``system`` attribute, else
+                                      -- "detector" (constant for engine specs)
+        spec_json TEXT NOT NULL,      -- canonical JSON of the spec
+        row_json  TEXT NOT NULL       -- the cell's result row(s)
     )
 
 The database is opened in WAL journal mode so a reader (``report``
@@ -38,10 +37,10 @@ cells.
 Content-hash key
 ----------------
 :func:`spec_content_hash` is the SHA-256 of the canonical JSON encoding
-(sorted keys, no whitespace) of *every* field of the spec dataclass — all
-grid axes, the derived per-cell seed, the ``system`` under test and the
-code-relevant scenario configuration (area, radio range, warm-up, cycle
-structure) — prefixed with a schema label.  Two specs collide only if they
+(sorted keys, no whitespace) of *every* field of the spec dataclass — the
+experiment name, the derived per-cell seed, the backend and every parameter
+(axes and fixed: area, radio range, warm-up, cycle structure, ...) — plus
+the store schema version.  Two specs collide only if they
 would execute the identical simulation; changing any knob (or the row schema
 version) yields a fresh key, so stale rows from older configurations are
 never silently reused.
@@ -52,7 +51,7 @@ Rows are committed one by one (autocommit), so after a crash the store holds
 exactly the cells whose workers finished.  Because every cell derives all of
 its randomness from its own stable seed, re-running the missing cells in any
 order — or from any number of worker processes — reproduces the
-uninterrupted campaign's report byte for byte.  Stored rows round-trip
+uninterrupted run's report byte for byte.  Stored rows round-trip
 through JSON (``repr``-exact floats), which keeps stored-row reports
 bit-identical to freshly-computed ones.
 """
@@ -80,11 +79,11 @@ SCHEMA_VERSION = 4
 
 
 def spec_content_hash(spec) -> str:
-    """Content hash identifying one fully-resolved campaign cell.
+    """Content hash identifying one fully-resolved experiment cell.
 
-    ``spec`` is a :class:`~repro.experiments.campaign.CampaignSpec` (or any
-    dataclass with the same role): the hash covers every field — axes, seed,
-    system and scenario config — plus the store schema version.
+    ``spec`` is an :class:`~repro.experiments.engine.ExperimentSpec` (or any
+    dataclass with the same role): the hash covers every field — experiment,
+    seed, backend and parameters — plus the store schema version.
     """
     payload = {"schema": SCHEMA_VERSION}
     payload.update(asdict(spec))
@@ -111,7 +110,7 @@ class StoreRecord:
 
 
 class ResultsStore:
-    """Durable store of completed campaign cells (see module docstring).
+    """Durable store of completed experiment cells (see module docstring).
 
     Usable as a context manager; safe to reopen over an existing database
     (the schema is created only when missing).  One instance wraps one
@@ -176,9 +175,9 @@ class ResultsStore:
                spec_hash: Optional[str] = None) -> str:
         """Persist one completed cell; returns its content hash.
 
-        ``row`` is either one flat dict (a campaign cell) or a list of dicts
-        (an engine cell whose experiment emits several rows — e.g. one per
-        node); :meth:`iter_rows` flattens both transparently.  Overwrites any
+        ``row`` is either one flat dict or a list of dicts (a cell whose
+        experiment emits several rows — e.g. one per node or per system);
+        :meth:`iter_rows` flattens both transparently.  Overwrites any
         previous row under the same hash (identical spec → identical
         simulation, so a replace is always an idempotent refresh).
         """
@@ -332,24 +331,19 @@ class ResultsStore:
             return None
         return json.loads(record[0])
 
-    def iter_rows(self, hashes: Optional[Iterable[str]] = None) -> Iterator[Dict[str, object]]:
-        """Stream result rows ordered by ``run_id`` (then hash, for stability).
+    def iter_rows(self) -> Iterator[Dict[str, object]]:
+        """Stream every stored row, ordered by ``run_id`` (then hash).
 
-        ``hashes`` restricts the stream to one campaign's cells — a store may
-        hold several campaigns side by side.  Multi-row cells (engine
-        experiments) are flattened into the stream.  The rows come straight
-        off the SQLite cursor, so memory stays constant regardless of
-        campaign size (apart from the hash filter set itself and one cell's
-        rows at a time).
+        Multi-row cells are flattened into the stream.  The rows come
+        straight off the SQLite cursor, so memory stays constant regardless
+        of the store's size (apart from one cell's rows at a time).
         """
-        wanted = set(hashes) if hashes is not None else None
         cursor = self._connection.execute(
-            "SELECT spec_hash, row_json FROM runs ORDER BY run_id, spec_hash"
+            "SELECT row_json FROM runs ORDER BY run_id, spec_hash"
         )
-        for spec_hash, row_json in cursor:
-            if wanted is None or spec_hash in wanted:
-                decoded = json.loads(row_json)
-                if isinstance(decoded, list):
-                    yield from decoded
-                else:
-                    yield decoded
+        for (row_json,) in cursor:
+            decoded = json.loads(row_json)
+            if isinstance(decoded, list):
+                yield from decoded
+            else:
+                yield decoded

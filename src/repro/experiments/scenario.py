@@ -185,6 +185,10 @@ def build_canonical_scenario(
     return built
 
 
+#: Channel loss models build_manet_scenario can instantiate by name.
+LOSS_MODELS = ("bernoulli", "distance")
+
+
 def _build_loss_model(kind: str, loss_probability: float, radio_range: float,
                       seed: int) -> LossModel:
     """Instantiate the named loss model with a stably derived RNG.
@@ -202,7 +206,8 @@ def _build_loss_model(kind: str, loss_probability: float, radio_range: float,
         return DistanceLossModel(radio_range=radio_range,
                                  max_loss=max(loss_probability, 0.0),
                                  rng=rng)
-    raise ValueError(f"unknown loss model {kind!r} (expected 'bernoulli' or 'distance')")
+    raise ValueError(
+        f"unknown loss model {kind!r} (expected one of {', '.join(LOSS_MODELS)})")
 
 
 #: Mobility models build_manet_scenario can instantiate by name.
@@ -307,8 +312,8 @@ def build_manet_scenario(
       per-recommender disagreement bookkeeping
       (:class:`repro.attacks.adaptive.RotatingLiarClique`).
 
-    These (with ``loss_model``/``max_speed``) are the axes the scenario
-    campaign and the unified experiment CLI sweep.
+    These (with ``loss_model``/``max_speed``) are the scenario axes the
+    unified experiment CLI sweeps.
 
     ``protocol`` selects the routing backend (any name registered with
     :mod:`repro.routing`).  With OLSR the attacker runs the paper's link

@@ -3,8 +3,7 @@
 Architecture
 ------------
 The experiment engine (:mod:`repro.experiments.engine`) executes a campaign
-as one process pool writing one SQLite file — a ceiling once grids reach
-thousands of cells or must span machines.  This package splits the
+as one process pool writing one SQLite file.  This package splits the
 engine's *queue* from its *workers* without changing what a cell is: the
 :class:`~repro.experiments.engine.ExperimentSpec` content hash remains the
 single identity a result is keyed by, which is what makes every stage of
@@ -14,7 +13,9 @@ the fabric idempotent and crash-tolerant.
   experiment through the exact same
   :func:`~repro.experiments.engine.expand_experiment` path as a local run
   and enqueues the missing cells into a :class:`FabricQueue` (one WAL-mode
-  SQLite file on a shared filesystem).  The run context (backend, seed,
+  SQLite file; WAL needs every process on the host holding the file, so
+  the fabric spans the worker processes of one host, not a network
+  filesystem).  The run context (backend, seed,
   axis overrides) is recorded alongside, so downstream stages can
   reconstruct the exact report.
 

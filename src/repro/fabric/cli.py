@@ -9,9 +9,10 @@ commands mirror the lifecycle of a distributed campaign::
     fabric serve    --db DB [--host H --port P]
     fabric status   --queue Q
 
-``dispatch`` runs once, anywhere; ``work`` runs on every machine (or in
-every process group) sharing the queue's filesystem; ``merge`` and
-``serve`` run wherever the canonical store should live.
+``dispatch`` runs once; ``work`` runs in every worker process group on the
+host holding the queue file (SQLite WAL does not work over a network
+filesystem); ``merge`` and ``serve`` run wherever the canonical store
+should live.
 """
 
 from __future__ import annotations

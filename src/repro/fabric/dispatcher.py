@@ -1,6 +1,6 @@
 """Work-stealing dispatch queue for distributed campaigns.
 
-The queue is one SQLite file (WAL mode, shared filesystem) holding every
+The queue is one SQLite file (WAL mode, local to one host) holding every
 pending cell of one or more dispatched experiments.  Ownership is
 *lease-based*: a worker claims a batch of cells under a TTL lease
 (:meth:`FabricQueue.claim`), heartbeats to extend it while executing

@@ -54,9 +54,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
+import numpy as np
+
 from repro.netsim.packet import Frame
 from repro.netsim.stats import MediumStatistics
-from repro.numerics import numpy_or_none
 
 Position = Tuple[float, float]
 
@@ -192,11 +193,7 @@ class DistanceLossModel:
         Elementwise identical to the scalar formula (``min``/``**`` map to
         ``np.minimum``/``np.power`` over float64, which round the same way),
         so the medium's batch path draws against bit-equal probabilities.
-        Falls back to a per-element loop when numpy is unavailable.
         """
-        np = numpy_or_none()
-        if np is None:
-            return [self.loss_probability(d) for d in distances]
         d = np.asarray(distances, dtype=float)
         ratio = np.minimum(d / self.radio_range, 1.0)
         probs = np.minimum(self.max_loss, (ratio ** self.exponent) * self.max_loss)
@@ -583,10 +580,9 @@ class WirelessMedium:
         prop = self.propagation
         # Exact types only: a subclass may override the range predicate.
         vector_prop = type(prop) is UnitDiskPropagation or type(prop) is AsymmetricRangePropagation
-        np = numpy_or_none()
         receivers: List[str]
         receiver_positions: List[Position]
-        if vector_prop and np is not None and len(candidates) > 8:
+        if vector_prop and len(candidates) > 8:
             ids = [nid for nid in candidates if nid != source]
             if ids:
                 pts = np.array([positions[nid] for nid in ids], dtype=float)

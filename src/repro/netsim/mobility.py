@@ -8,12 +8,12 @@ always sees the current coordinates.
 Vectorised ticks
 ----------------
 Each mobility model advances *all* nodes inside one periodic engine event.
-With numpy available (``repro.numerics.numpy_or_none``) and enough nodes to
-amortise array setup, the per-tick ``_advance`` runs over position arrays
-instead of a per-node Python loop, and the surviving writes land in the
-position table through a single bulk ``update`` (one position-epoch bump
-instead of N).  The vector paths are **bit-identical** to the scalar
-reference loops, which stay in place as the numpy-less fallback:
+With enough nodes to amortise array setup (``_VECTOR_MIN_NODES``), the
+per-tick ``_advance`` runs over numpy position arrays instead of a per-node
+Python loop, and the surviving writes land in the position table through a
+single bulk ``update`` (one position-epoch bump instead of N).  The vector
+paths are **bit-identical** to the scalar loops, which stay in place for
+small populations:
 
 * random draws are consumed from the model's ``random.Random`` in exactly
   the scalar per-node order (numpy never draws; draws are taken flat and
@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
-from repro.numerics import numpy_or_none
+import numpy as np
 
 Position = Tuple[float, float]
 
@@ -201,7 +201,7 @@ class RandomWaypointMobility:
                     position[1] + dy / dist * step,
                 )
 
-    def _advance_vector(self, network, np) -> None:
+    def _advance_vector(self, network) -> None:
         now = network.simulator.now
         positions = network.positions
         pause_until = self._pause_until
@@ -273,11 +273,10 @@ class RandomWalkMobility:
         )
 
     def _advance(self, network) -> None:
-        np = numpy_or_none()
-        if np is None or len(network.positions) < _VECTOR_MIN_NODES:
+        if len(network.positions) < _VECTOR_MIN_NODES:
             self._advance_scalar(network)
         else:
-            self._advance_vector(network, np)
+            self._advance_vector(network)
 
     def _advance_scalar(self, network) -> None:
         for node_id, (x, y) in list(network.positions.items()):
@@ -288,7 +287,7 @@ class RandomWalkMobility:
                 min(max(ny, 0.0), self.height),
             )
 
-    def _advance_vector(self, network, np) -> None:
+    def _advance_vector(self, network) -> None:
         positions = network.positions
         ids = list(positions)
         pts = [positions[nid] for nid in ids]
@@ -357,11 +356,10 @@ class GaussMarkovMobility:
         )
 
     def _advance(self, network) -> None:
-        np = numpy_or_none()
-        if np is None or len(network.positions) < _VECTOR_MIN_NODES:
+        if len(network.positions) < _VECTOR_MIN_NODES:
             self._advance_scalar(network)
         else:
-            self._advance_vector(network, np)
+            self._advance_vector(network)
 
     def _advance_scalar(self, network) -> None:
         a = min(max(self.alpha, 0.0), 1.0)
@@ -393,7 +391,7 @@ class GaussMarkovMobility:
             self._mean_directions[node_id] = mean_direction
             network.positions[node_id] = (nx, ny)
 
-    def _advance_vector(self, network, np) -> None:
+    def _advance_vector(self, network) -> None:
         positions = network.positions
         ids = list(positions)
         a = min(max(self.alpha, 0.0), 1.0)
@@ -508,11 +506,10 @@ class ReferencePointGroupMobility:
         )
 
     def _advance(self, network) -> None:
-        np = numpy_or_none()
-        if np is None or len(network.positions) < _VECTOR_MIN_NODES:
+        if len(network.positions) < _VECTOR_MIN_NODES:
             self._advance_scalar(network)
         else:
-            self._advance_vector(network, np)
+            self._advance_vector(network)
 
     def _advance_references(self) -> None:
         for group, reference in list(self._references.items()):
@@ -548,7 +545,7 @@ class ReferencePointGroupMobility:
             self._offsets[node_id] = (ox, oy)
             network.positions[node_id] = self._member_position(group, node_id)
 
-    def _advance_vector(self, network, np) -> None:
+    def _advance_vector(self, network) -> None:
         # Reference points stay scalar: a handful of groups, and the loop
         # keeps the group-order target draws obvious.
         self._advance_references()

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, Optional, Set
 
-from repro.numerics import numpy_or_none
+import numpy as np
+
 from repro.olsr.constants import Willingness
 
 
@@ -69,7 +70,8 @@ def select_mprs(
     use_numpy:
         Force (``True``) or forbid (``False``) the vectorised selection of
         steps 1–4 over numpy coverage masks.  ``None`` (the default) engages
-        it automatically on dense neighbourhoods when numpy is importable.
+        it automatically on dense neighbourhoods (>= 16 candidates and
+        >= 16 two-hop nodes).
         Both paths produce identical results — including the *insertion
         order* into the MPR set, which the stable sort of the pruning step
         observes — so the choice is purely a performance knob.
@@ -106,15 +108,13 @@ def select_mprs(
         result.mprs = {n for n in candidates if will(n) == Willingness.WILL_ALWAYS}
         return result
 
-    np = numpy_or_none() if use_numpy is not False else None
     if use_numpy is None:
-        vectorise = (np is not None and len(candidates) >= 16
-                     and len(two_hop_set) >= 16)
+        vectorise = len(candidates) >= 16 and len(two_hop_set) >= 16
     else:
-        vectorise = bool(use_numpy) and np is not None
+        vectorise = use_numpy
 
     if vectorise:
-        mprs = _select_greedy_numpy(np, candidates, effective_coverage,
+        mprs = _select_greedy_numpy(candidates, effective_coverage,
                                     two_hop_set, will, neighbor_degree, result)
     else:
         mprs = _select_greedy_scalar(candidates, effective_coverage,
@@ -219,7 +219,6 @@ def _select_greedy_scalar(
 
 
 def _select_greedy_numpy(
-    np,
     candidates: Set[str],
     effective_coverage: Dict[str, Set[str]],
     two_hop_set: Set[str],

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.numerics import numpy_or_none
+import numpy as np
+
 from repro.trust.evidence import TrustEvidence
 
 #: Minimum number of subjects before ``update_all`` switches to the numpy
@@ -185,9 +186,8 @@ class TrustManager:
         because its accumulation order is part of the observable result.
         """
         subjects = sorted(set(evidences_by_subject) | set(self._records))
-        np = numpy_or_none()
-        if np is not None and len(subjects) >= _VECTOR_THRESHOLD:
-            return self._update_all_vector(np, subjects, evidences_by_subject, now)
+        if len(subjects) >= _VECTOR_THRESHOLD:
+            return self._update_all_vector(subjects, evidences_by_subject, now)
         results: Dict[str, float] = {}
         for subject in subjects:
             results[subject] = self.update(
@@ -197,7 +197,6 @@ class TrustManager:
 
     def _update_all_vector(
         self,
-        np,
         subjects: Sequence[str],
         evidences_by_subject: Dict[str, List[TrustEvidence]],
         now: float,

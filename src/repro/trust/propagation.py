@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.numerics import numpy_or_none
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,10 @@ def batch_multipath_trust(
     accumulates the weighted products ``(w·R)·T`` in the same order.  Because
     both accumulations visit each subject's pairs in their original sequence
     with the scalar grouping, the results are bit-identical to the per-subject
-    scalar calls; without numpy (or for narrow batches) it simply delegates.
+    scalar calls; narrow batches (< 16 subjects) simply delegate.
     """
-    np = numpy_or_none()
     subjects = list(pairs_by_subject)
-    if np is None or len(subjects) < 16:
+    if len(subjects) < 16:
         return {s: multipath_trust(pairs_by_subject[s]) for s in subjects}
 
     lengths = [len(pairs_by_subject[s]) for s in subjects]

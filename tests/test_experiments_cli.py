@@ -33,7 +33,8 @@ def test_cli_list_names_all_experiments(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     for name in ("figure1", "figure2", "figure3", "ablation",
-                 "confidence_sweep", "gravity_ablation", "mobility"):
+                 "confidence_sweep", "gravity_ablation", "mobility",
+                 "campaign"):
         assert name in out
 
 
@@ -117,11 +118,17 @@ def test_cli_report_missing_db_is_an_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_campaign_subcommand_forwards(tmp_path, capsys):
+def test_cli_run_campaign_reports_the_by_system_aggregates(tmp_path, capsys):
     out = tmp_path / "campaign.txt"
-    assert main(["campaign", "--node-counts", "8", "--cycles", "1",
-                 "--warmup", "20", "--output", str(out)]) == 0
-    assert b"Campaign" in out.read_bytes()
+    assert main(["run", "campaign", "--axis", "total_nodes=8",
+                 "--param", "cycles=1", "--param", "warmup=20",
+                 "--output", str(out)]) == 0
+    report = out.read_text()
+    assert report.startswith("Campaign")
+    assert "aggregate by system × liar fraction" in report
+    assert "Aggregate by system × node count × loss model" in report
+    # The standalone campaign subcommand is gone: one runtime, one CLI.
+    assert main(["campaign"]) == 2
     capsys.readouterr()
 
 

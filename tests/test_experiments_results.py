@@ -1,4 +1,4 @@
-"""Tests for the SQLite-backed campaign results store and resume semantics."""
+"""Tests for the SQLite-backed results store and resume semantics."""
 
 from __future__ import annotations
 
@@ -6,39 +6,30 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.campaign import (
-    SYSTEMS,
-    CampaignGrid,
-    CampaignSpec,
-    main,
-    run_campaign,
-)
+from repro.experiments.__main__ import main
+from repro.experiments.campaign import SYSTEMS
+from repro.experiments.engine import ExperimentSpec, get_experiment, run_experiment
+from repro.experiments.report import aggregate_rows
 from repro.experiments.results import ResultsStore, spec_content_hash
 
 
-def _spec(**overrides) -> CampaignSpec:
+def _spec(**overrides) -> ExperimentSpec:
     settings = dict(
-        run_id="n008-x-r0-detector", seed=1, node_count=8, liar_fraction=0.0,
-        loss_model="bernoulli", loss_probability=0.0, max_speed=0.0,
-        attack_variant="false_existing_link",
+        experiment="campaign", cell_id="total_nodes=8", run_id="n008-x-r0",
+        seed=1, backend="netsim",
+        params=(("total_nodes", 8), ("warmup", 35.0), ("cycles", 5)),
     )
     settings.update(overrides)
-    return CampaignSpec(**settings)
+    return ExperimentSpec(**settings)
 
 
-def _grid(**overrides) -> CampaignGrid:
-    settings = dict(
-        node_counts=(8,),
-        liar_fractions=(0.0, 0.25),
-        loss_models=("bernoulli:0.0",),
-        max_speeds=(0.0,),
-        systems=("detector", "averaging"),
-        base_seed=7,
-        warmup=20.0,
-        cycles=1,
-    )
-    settings.update(overrides)
-    return CampaignGrid(**settings)
+#: A 2-cell campaign: 8 nodes, two liar fractions, the attack inside warm-up.
+_AXES = {"total_nodes": (8,), "liar_fraction": (0.0, 0.25)}
+_PARAMS = {"warmup": 20.0, "attack_start": 8.0, "cycles": 1}
+
+
+def _run(axes=None, **kwargs):
+    return run_experiment("campaign", axes=axes or _AXES, params=_PARAMS, **kwargs)
 
 
 # ------------------------------------------------------------- content hash
@@ -46,8 +37,11 @@ def test_spec_content_hash_is_stable_and_field_sensitive():
     spec = _spec()
     assert spec_content_hash(spec) == spec_content_hash(_spec())
     assert spec.content_hash() == spec_content_hash(spec)
-    for change in (dict(seed=2), dict(node_count=16), dict(system="beta"),
-                   dict(warmup=30.0), dict(cycles=6)):
+    for change in (dict(seed=2), dict(backend="oracle"),
+                   dict(experiment="figure1"),
+                   dict(params=(("total_nodes", 16), ("warmup", 35.0), ("cycles", 5))),
+                   dict(params=(("total_nodes", 8), ("warmup", 30.0), ("cycles", 5))),
+                   dict(params=(("total_nodes", 8), ("warmup", 35.0), ("cycles", 6)))):
         assert spec_content_hash(_spec(**change)) != spec_content_hash(spec)
 
 
@@ -65,9 +59,8 @@ def test_store_roundtrip_and_streaming_order(tmp_path):
         assert len(store) == 2
         assert store.get_row(digest_b) == {"run_id": "b-cell", "x": 1.5, "ok": True}
         assert store.get_row("missing") is None
-        # Streaming is ordered by run_id and filterable per campaign.
+        # Streaming is ordered by run_id.
         assert [r["run_id"] for r in store.iter_rows()] == ["a-cell", "b-cell"]
-        assert [r["run_id"] for r in store.iter_rows([digest_b])] == ["b-cell"]
 
     # Reopening sees the committed rows (durability across connections).
     with ResultsStore(path) as store:
@@ -105,66 +98,63 @@ def test_completed_hashes_chunks_large_sets(tmp_path):
 
 # ------------------------------------------------------------------- resume
 def test_interrupted_campaign_resumes_and_report_is_byte_identical(tmp_path):
-    grid = _grid()
-    total = grid.size()
-    assert total == 4
-    reference = run_campaign(grid).format_report()  # uninterrupted, in-memory
+    total = len(get_experiment("campaign").expand(axes=_AXES, params=_PARAMS))
+    assert total == 2
+    reference = _run().format_report()  # uninterrupted, in-memory
 
     path = str(tmp_path / "campaign.sqlite")
     with ResultsStore(path) as store:
-        # "Kill" the campaign after 2 of 4 cells.
-        partial = run_campaign(grid, store=store, max_new_runs=2)
-        assert len(partial.executed_run_ids) == 2
+        # "Kill" the campaign after 1 of 2 cells.
+        partial = _run(store=store, max_new_runs=1)
+        assert len(partial.executed_run_ids) == 1
         assert partial.skipped_run_ids == []
-        assert len(store) == 2
+        assert len(store) == 1
 
-    # Reopen the store: only the remaining cells are executed.
+    # Reopen the store: only the remaining cell is executed.
     with ResultsStore(path) as store:
-        resumed = run_campaign(grid, store=store)
-        assert len(resumed.skipped_run_ids) == 2
-        assert len(resumed.executed_run_ids) == total - 2
+        resumed = _run(store=store)
+        assert len(resumed.skipped_run_ids) == 1
+        assert len(resumed.executed_run_ids) == total - 1
         assert set(resumed.skipped_run_ids) | set(resumed.executed_run_ids) == {
-            spec.run_id for spec in grid.expand()
+            spec.run_id for spec in resumed.specs
         }
         assert resumed.format_report() == reference
 
     # A third invocation is a pure replay: nothing executes, same report.
     with ResultsStore(path) as store:
-        replay = run_campaign(grid, store=store)
+        replay = _run(store=store)
         assert replay.executed_run_ids == []
         assert len(replay.skipped_run_ids) == total
         assert replay.format_report() == reference
 
 
 def test_resume_false_re_executes_stored_cells(tmp_path):
-    grid = _grid(liar_fractions=(0.0,), systems=("detector",))
+    axes = {"total_nodes": (8,), "liar_fraction": (0.0,)}
     with ResultsStore(str(tmp_path / "campaign.sqlite")) as store:
-        first = run_campaign(grid, store=store)
+        first = _run(axes, store=store)
         assert len(first.executed_run_ids) == 1
-        again = run_campaign(grid, store=store, resume=False)
+        again = _run(axes, store=store, resume=False)
         assert len(again.executed_run_ids) == 1
         assert again.skipped_run_ids == []
 
 
 def test_store_backed_campaign_matches_parallel_and_serial(tmp_path):
-    grid = _grid(systems=("detector",))
-    serial = run_campaign(grid).format_report()
+    serial = _run().format_report()
     with ResultsStore(str(tmp_path / "campaign.sqlite")) as store:
-        parallel = run_campaign(grid, workers=2, store=store)
+        parallel = _run(workers=2, store=store)
         assert parallel.format_report() == serial
 
 
 # ------------------------------------------------------------- systems axis
 def test_one_grid_compares_detector_against_all_baselines():
-    grid = _grid(liar_fractions=(0.25,), systems=SYSTEMS, cycles=2, warmup=25.0)
-    result = run_campaign(grid, workers=2)
-    rows = result.as_rows()
+    result = _run({"total_nodes": (8,), "liar_fraction": (0.25,)})
+    rows = result.rows()
     assert len(rows) == len(SYSTEMS)
-    assert sorted(row["system"] for row in rows) == sorted(SYSTEMS)
+    assert [row["system"] for row in rows] == list(SYSTEMS)
     # Every system judged the identical simulation.
     assert len({row["seed"] for row in rows}) == 1
     assert len({row["frames_sent"] for row in rows}) == 1
-    comparison = result.aggregate(("system",))
+    comparison = aggregate_rows(rows, ("system",), ("flagged",))
     assert [row["system"] for row in comparison] == sorted(SYSTEMS)
     report = result.format_report()
     assert "Detector vs baselines" in report
@@ -173,11 +163,8 @@ def test_one_grid_compares_detector_against_all_baselines():
 
 
 # ---------------------------------------------------------------------- CLI
-def _cli_args(db_path: str) -> list:
-    return ["--node-counts", "8", "--liar-fractions", "0.0",
-            "--loss", "bernoulli:0.0", "--speeds", "0",
-            "--systems", "detector,averaging",
-            "--warmup", "20", "--cycles", "1", "--db", db_path]
+_CLI_GRID = ["campaign", "--axis", "total_nodes=8", "--axis", "liar_fraction=0.0",
+             "--param", "warmup=20", "--param", "cycles=1"]
 
 
 def test_cli_db_resume_and_report_subcommand(tmp_path, capsys):
@@ -186,35 +173,37 @@ def test_cli_db_resume_and_report_subcommand(tmp_path, capsys):
     out_b = tmp_path / "b.txt"
     out_c = tmp_path / "c.txt"
 
-    assert main(_cli_args(db_path) + ["--output", str(out_a)]) == 0
+    assert main(["run", *_CLI_GRID, "--db", db_path, "--output", str(out_a)]) == 0
     # Resumed invocation executes nothing but reports identically.
-    assert main(_cli_args(db_path) + ["--resume", "--output", str(out_b)]) == 0
+    assert main(["run", *_CLI_GRID, "--db", db_path, "--resume",
+                 "--output", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     # The report subcommand re-aggregates the store without re-running.
-    assert main(["report", "--db", db_path, "--output", str(out_c)]) == 0
+    assert main(["report", "--db", db_path, "--experiment", *_CLI_GRID,
+                 "--output", str(out_c)]) == 0
     assert out_c.read_bytes() == out_a.read_bytes()
     capsys.readouterr()  # swallow the printed reports
 
 
 def test_cli_resume_requires_db(capsys):
     with pytest.raises(SystemExit):
-        main(["--resume"])
+        main(["run", "campaign", "--resume"])
     capsys.readouterr()
 
 
 def test_cli_report_subcommand_missing_db(tmp_path, capsys):
     missing = str(tmp_path / "nope" / "x.sqlite")
-    assert main(["report", "--db", missing]) == 1
+    assert main(["report", "--db", missing, "--experiment", "campaign"]) == 1
     # A mistyped path must not be silently created as an empty store.
     missing_file = tmp_path / "typo.sqlite"
-    assert main(["report", "--db", str(missing_file)]) == 1
+    assert main(["report", "--db", str(missing_file), "--experiment", "campaign"]) == 1
     assert not missing_file.exists()
     capsys.readouterr()
 
 
 def test_cli_run_with_unopenable_db_errors_cleanly(tmp_path, capsys):
     bad = str(tmp_path / "no_such_dir" / "c.sqlite")
-    assert main(["--node-counts", "8", "--cycles", "1", "--db", bad]) == 1
+    assert main(["run", *_CLI_GRID, "--db", bad]) == 1
     assert "cannot open results store" in capsys.readouterr().err
 
 
@@ -250,7 +239,7 @@ def test_nan_and_infinite_metrics_round_trip(tmp_path):
         assert loaded["pos"] == float("inf")
         assert loaded["neg"] == float("-inf")
         assert loaded["finite"] == 0.1 + 0.2  # repr-exact, not re-rounded
-        streamed = list(store.iter_rows([digest]))
+        streamed = list(store.iter_rows())
         assert json.dumps(streamed[0]) == json.dumps(loaded)
 
 
@@ -282,7 +271,7 @@ def test_unicode_and_param_heavy_specs_round_trip(tmp_path):
 
     with ResultsStore(path) as store:
         assert store.get_row(digest) == row
-        assert list(store.iter_rows([digest])) == [row]
+        assert list(store.iter_rows()) == [row]
         import json
 
         stored_spec = json.loads(store._connection.execute(
@@ -294,7 +283,7 @@ def test_unicode_and_param_heavy_specs_round_trip(tmp_path):
 
 def test_multi_row_cells_flatten_identically_after_resume(tmp_path):
     """A multi-row engine cell streams the same flat rows before and after
-    reopening, interleaved correctly with single-row campaign cells."""
+    reopening, interleaved correctly with single-row cells."""
     import json
 
     multi = [{"run_id": "multi", "node": f"n{i:02d}", "trust": i / 7.0}
@@ -304,10 +293,10 @@ def test_multi_row_cells_flatten_identically_after_resume(tmp_path):
     with ResultsStore(path) as store:
         digest_multi = store.record(_spec(run_id="multi", seed=3), multi)
         digest_single = store.record(_spec(run_id="single", seed=4), single)
-        live = list(store.iter_rows([digest_multi, digest_single]))
+        live = list(store.iter_rows())
 
     with ResultsStore(path) as store:
-        resumed = list(store.iter_rows([digest_multi, digest_single]))
+        resumed = list(store.iter_rows())
         assert json.dumps(resumed) == json.dumps(live)
         assert resumed == multi + [single]
         assert store.get_row(digest_multi) == multi
@@ -315,16 +304,19 @@ def test_multi_row_cells_flatten_identically_after_resume(tmp_path):
 
 # ------------------------------------------------------------ stored fields
 def test_stored_spec_json_round_trips(tmp_path):
+    from repro.experiments.engine import spec_from_jsonable
+
     with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
-        spec = _spec(system="beta")
+        spec = _spec()
         digest = store.record(spec, {"run_id": spec.run_id})
         import json
 
         stored = store._connection.execute(
             "SELECT system, spec_json FROM runs WHERE spec_hash = ?", (digest,)
         ).fetchone()
-        assert stored[0] == "beta"
-        assert json.loads(stored[1]) == dataclasses.asdict(spec)
+        assert stored[0] == "detector"  # engine specs carry no system
+        assert json.loads(stored[1]) == json.loads(json.dumps(dataclasses.asdict(spec)))
+        assert spec_from_jsonable(json.loads(stored[1])) == spec
 
 
 # ------------------------------------------------- fabric-facing store APIs

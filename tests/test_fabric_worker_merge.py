@@ -46,6 +46,13 @@ def _merged_report(shard_paths, tmp_path, queue_path=None) -> str:
         return result.format_report()
 
 
+#: A 4-cell campaign: one row per system per cell, and by-system aggregate
+#: tables in its report.
+_CAMPAIGN = {"axes": {"total_nodes": (8,), "liar_fraction": (0.0, 0.25),
+                      "max_speed": (0.0, 4.0)},
+             "params": {"warmup": 20.0, "attack_start": 8.0, "cycles": 1}}
+
+
 def test_two_worker_groups_merge_to_byte_identical_report(tmp_path, golden_report):
     queue_path = _dispatch(tmp_path)
     shard_dir = str(tmp_path / "shards")
@@ -61,6 +68,23 @@ def test_two_worker_groups_merge_to_byte_identical_report(tmp_path, golden_repor
     report = _merged_report([a.shard_path, b.shard_path], tmp_path,
                             queue_path=queue_path)
     assert report == golden_report
+
+    # The same pipeline carries the campaign.
+    run_dir = tmp_path / "campaign"
+    run_dir.mkdir()
+    queue_path = str(run_dir / "fabric.sqlite")
+    dispatch_experiment(queue_path, "campaign", **_CAMPAIGN)
+    a = run_worker(queue_path, "a", str(run_dir / "shards"), batch_size=1,
+                   max_cells=2)
+    b = run_worker(queue_path, "b", str(run_dir / "shards"), batch_size=1)
+    assert a.executed == 2 and b.executed == 2
+    merged_path = str(run_dir / "merged.sqlite")
+    merge_shards([a.shard_path, b.shard_path], merged_path, queue_path=queue_path)
+    with ResultsStore(merged_path) as store:
+        merged = run_experiment("campaign", store=store, max_new_runs=0, **_CAMPAIGN)
+        assert merged.executed_run_ids == []
+        assert merged.format_report() == run_experiment(
+            "campaign", **_CAMPAIGN).format_report()
 
 
 def test_killed_worker_lease_is_redispatched_and_report_identical(

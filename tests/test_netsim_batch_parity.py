@@ -12,6 +12,7 @@ updates) against their scalar references.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -22,10 +23,9 @@ from repro.experiments.backends import (
     drive_netsim_scenario,
     scenario_config_from_params,
 )
-from repro.experiments.campaign import CampaignSpec, execute_spec
+from repro.experiments.engine import execute_cell, get_experiment
 from repro.netsim.medium import DistanceLossModel
 from repro.netsim.trace import TraceRecorder
-from repro.numerics import numpy_or_none
 from repro.olsr.constants import Willingness
 from repro.olsr.mpr import select_mprs
 
@@ -90,36 +90,24 @@ def test_batch_and_scalar_runs_are_identical(node_count, loss_model,
         assert got.trust_snapshot == want.trust_snapshot
 
 
-def test_campaign_row_json_identical_between_paths(monkeypatch):
+def test_campaign_row_json_identical_between_paths():
     """The JSON text a ResultsStore would persist is byte-identical.
 
     ``json.dumps`` serialises NaN/±inf as ``NaN``/``Infinity`` tokens, so
     comparing the dumped text covers non-finite metric values too.
     """
-    import repro.experiments.campaign as campaign_module
-    from repro.experiments.scenario import build_manet_scenario
-
-    spec = CampaignSpec(
-        run_id="parity", seed=11, node_count=16, liar_fraction=0.25,
-        loss_model="distance", loss_probability=0.8, max_speed=6.0,
-        attack_variant="false_existing_link", warmup=15.0, cycles=2,
-    )
-
     rows = {}
     for batch in (True, False):
-        def _build(*args, _batch=batch, **kwargs):
-            kwargs["batch_delivery"] = _batch
-            return build_manet_scenario(*args, **kwargs)
-
-        monkeypatch.setattr(campaign_module, "build_manet_scenario", _build)
-        rows[batch] = json.dumps(execute_spec(spec).as_row(), sort_keys=True)
+        spec, = get_experiment("campaign").expand(
+            axes={"total_nodes": (16,), "loss_model": ("distance",),
+                  "loss_probability": (0.8,), "max_speed": (6.0,)},
+            params={"warmup": 15.0, "cycles": 2, "batch_delivery": batch})
+        rows[batch] = json.dumps(execute_cell(dataclasses.replace(spec, seed=11)),
+                                 sort_keys=True)
     assert rows[True] == rows[False]
 
 
 def test_mpr_numpy_matches_scalar_on_random_topologies():
-    np = numpy_or_none()
-    if np is None:
-        pytest.skip("numpy unavailable")
     rng = random.Random(42)
     wills = [Willingness.WILL_NEVER, Willingness.WILL_LOW,
              Willingness.WILL_DEFAULT, Willingness.WILL_HIGH,
@@ -197,12 +185,12 @@ def test_trust_update_all_vector_matches_scalar():
     scalar_manager, scalar_evidences = build()
     vector_manager, vector_evidences = build()
 
-    original = manager_module.numpy_or_none
-    manager_module.numpy_or_none = lambda: None
+    original = manager_module._VECTOR_THRESHOLD
+    manager_module._VECTOR_THRESHOLD = 10 ** 6  # force the scalar loop
     try:
         scalar_results = scalar_manager.update_all(scalar_evidences, now=2.0)
     finally:
-        manager_module.numpy_or_none = original
+        manager_module._VECTOR_THRESHOLD = original
     vector_results = vector_manager.update_all(vector_evidences, now=2.0)
 
     assert scalar_results == vector_results

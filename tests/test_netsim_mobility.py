@@ -246,7 +246,6 @@ def test_vector_advance_bit_identical_to_scalar(factory, node_count):
     ``_advance_vector`` is invoked directly rather than through the
     ``_advance`` dispatcher so the parity contract holds even for models
     (waypoint) whose production tick stays scalar by measured choice."""
-    np = pytest.importorskip("numpy")
 
     def run(mode):
         model = factory(random.Random(97))
@@ -257,7 +256,7 @@ def test_vector_advance_bit_identical_to_scalar(factory, node_count):
             if mode == "scalar":
                 model._advance_scalar(network)
             else:
-                model._advance_vector(network, np)
+                model._advance_vector(network)
         return network.positions, model.rng.getstate()
 
     scalar_positions, scalar_rng = run("scalar")
@@ -279,9 +278,9 @@ def test_small_networks_fall_back_to_scalar(monkeypatch):
     model = RandomWalkMobility(rng=random.Random(1))
     original = model._advance_vector
 
-    def spy(network, np):
+    def spy(network):
         calls.append(len(network.positions))
-        return original(network, np)
+        return original(network)
 
     monkeypatch.setattr(model, "_advance_vector", spy)
     network = _TickNetwork(model.place([f"s{i}" for i in range(4)]))
@@ -290,15 +289,16 @@ def test_small_networks_fall_back_to_scalar(monkeypatch):
     assert mobility_module._VECTOR_MIN_NODES > 4
 
 
-def test_vector_paths_disabled_without_numpy(monkeypatch):
+def test_raised_size_threshold_forces_the_scalar_tick(monkeypatch):
     import repro.netsim.mobility as mobility_module
 
-    monkeypatch.setattr(mobility_module, "numpy_or_none", lambda: None)
+    monkeypatch.setattr(mobility_module, "_VECTOR_MIN_NODES", 10 ** 6)
     model = GaussMarkovMobility(rng=random.Random(2))
+    monkeypatch.setattr(model, "_advance_vector", None)  # any call would fail
     network = _TickNetwork(model.place([f"g{i}" for i in range(16)]))
     before = dict(network.positions)
     network.simulator.now = model.update_interval
-    model._advance(network)  # must not touch numpy
+    model._advance(network)
     assert network.positions != before
 
 
@@ -306,7 +306,6 @@ def test_waypoint_vector_tick_matches_scalar_through_network_run():
     """End-to-end: a Network driven by the periodic mobility event produces
     the same trajectories whether ticks run vectorised or scalar (waypoint
     dispatches scalar in production, so the vector path is forced here)."""
-    np = pytest.importorskip("numpy")
 
     def run(force_vector):
         mobility = RandomWaypointMobility(width=200.0, height=200.0,
@@ -314,7 +313,7 @@ def test_waypoint_vector_tick_matches_scalar_through_network_run():
                                           rng=random.Random(31))
         if force_vector:
             mobility._advance = (  # type: ignore[method-assign]
-                lambda network: mobility._advance_vector(network, np))
+                lambda network: mobility._advance_vector(network))
         network = Network(simulator=Simulator(), mobility=mobility, seed=31)
         network.add_nodes([f"w{i}" for i in range(24)])
         network.run(until=40.0)
