@@ -6,6 +6,9 @@ pipeline:
 
 * :mod:`repro.logs.records` — structured log records and their categories.
 * :mod:`repro.logs.store` — per-node append-only log store with querying.
+  Records are built on first read: a node whose log nothing reads never
+  formats one.  So a field value handed to ``LogStore.log`` must not be
+  mutated afterwards.
 * :mod:`repro.logs.parser` — olsrd-like text serialisation and parsing, so the
   detector genuinely works from a textual log and not from in-memory state.
 * :mod:`repro.logs.analyzer` — extraction of detection-relevant events

@@ -79,6 +79,14 @@ class LogAnalyzer:
         self.instability_threshold = instability_threshold
         self.instability_window = instability_window
         self._link_flaps: Dict[str, List[float]] = {}
+        self._handlers = {
+            LogCategory.MESSAGE_RX: self._on_message_rx,
+            LogCategory.MPR: self._on_mpr,
+            LogCategory.NEIGHBOR: self._on_neighbor,
+            LogCategory.LINK: self._on_link,
+            LogCategory.DROP: self._on_drop,
+            LogCategory.FORWARD: self._on_forward,
+        }
 
     # ----------------------------------------------------------------- API
     def analyze(self) -> List[DetectionEvent]:
@@ -109,15 +117,7 @@ class LogAnalyzer:
 
     # ------------------------------------------------------------ internals
     def _process(self, record: LogRecord) -> List[DetectionEvent]:
-        handlers = {
-            LogCategory.MESSAGE_RX: self._on_message_rx,
-            LogCategory.MPR: self._on_mpr,
-            LogCategory.NEIGHBOR: self._on_neighbor,
-            LogCategory.LINK: self._on_link,
-            LogCategory.DROP: self._on_drop,
-            LogCategory.FORWARD: self._on_forward,
-        }
-        handler = handlers.get(record.category)
+        handler = self._handlers.get(record.category)
         if handler is None:
             return []
         return handler(record)

@@ -4,9 +4,13 @@ A record is one line::
 
     t=12.345678 node=n3 cat=MPR event=MPR_SELECTED mpr=n7 covered=n9,n12
 
-Field values containing spaces are quoted; the parser handles both quoted and
-unquoted values.  The round trip ``parse_line(format_record(r)) == r`` holds
-for every record produced through :func:`repro.logs.records.make_record`.
+Empty field values and values containing whitespace or ``"`` are quoted;
+inside the quotes ``\\``, ``"`` and newlines are backslash-escapes
+(``\\\\``, ``\\"``, ``\\n``), so a record always stays on one line.  The
+parser handles both quoted and unquoted values.  The round trip
+``parse_line(format_record(r)) == r`` holds for every record produced through
+:func:`repro.logs.records.make_record`, and ``load_records(dump_records(rs))``
+gives back every record of ``rs``.
 """
 
 from __future__ import annotations
@@ -22,8 +26,20 @@ class LogParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<key>[A-Za-z_][A-Za-z0-9_]*)=(?:"(?P<quoted>[^"]*)"|(?P<plain>\S*))"""
+    r"""(?P<key>[A-Za-z_][A-Za-z0-9_]*)=(?:"(?P<quoted>(?:[^"\\]|\\.)*)"|(?P<plain>\S*))"""
 )
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
+def _quote(value: str) -> str:
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
+def _unquote(value: str) -> str:
+    if "\\" not in value:
+        return value
+    return _ESCAPE_RE.sub(lambda m: "\n" if m.group(1) == "n" else m.group(1), value)
 
 
 def format_record(record: LogRecord) -> str:
@@ -36,8 +52,8 @@ def format_record(record: LogRecord) -> str:
     ]
     for key in sorted(record.fields):
         value = record.fields[key]
-        if value == "" or any(ch.isspace() for ch in value):
-            parts.append(f'{key}="{value}"')
+        if value == "" or '"' in value or any(ch.isspace() for ch in value):
+            parts.append(f"{key}={_quote(value)}")
         else:
             parts.append(f"{key}={value}")
     return " ".join(parts)
@@ -62,6 +78,8 @@ def parse_line(line: str) -> LogRecord:
         value = match.group("quoted")
         if value is None:
             value = match.group("plain")
+        else:
+            value = _unquote(value)
         if key in mandatory and key not in header:
             header[key] = value
         else:
@@ -99,5 +117,9 @@ def dump_records(records: Iterable[LogRecord]) -> str:
 
 
 def load_records(text: str, skip_errors: bool = False) -> List[LogRecord]:
-    """Parse a text block produced by :func:`dump_records`."""
-    return list(parse_lines(text.splitlines(), skip_errors=skip_errors))
+    """Parse a text block produced by :func:`dump_records`.
+
+    Lines break at ``\\n`` only, the separator :func:`dump_records` writes:
+    other characters :meth:`str.splitlines` breaks at may sit in a value.
+    """
+    return list(parse_lines(text.split("\n"), skip_errors=skip_errors))

@@ -3,6 +3,11 @@
 Every record is a flat ``(time, node, category, event, fields)`` tuple that
 can be serialised to a single olsrd-style text line (see
 :mod:`repro.logs.parser`) and parsed back without loss.
+
+A node's :class:`~repro.logs.store.LogStore` builds its records on first
+read, so :func:`make_record` runs only for logs something reads.  It
+formats the caller's values as they are at that moment, which is why a
+value passed to ``LogStore.log`` must never be mutated afterwards.
 """
 
 from __future__ import annotations
@@ -104,8 +109,10 @@ def make_record(
 ) -> LogRecord:
     """Convenience constructor converting every field value to ``str``.
 
-    Lists and tuples are flattened to comma-separated strings so they survive
-    the round trip through the textual log format.
+    Lists, tuples and sets are flattened to comma-separated strings so they
+    survive the round trip through the textual log format.  Lists and tuples
+    keep the caller's order (a position stays ``x,y``); sets, which have
+    none, are sorted by ``str``.
     """
     converted: Dict[str, str] = {}
     for key, value in fields.items():
@@ -113,7 +120,9 @@ def make_record(
             converted[key] = value
         elif value is None:
             continue
-        elif isinstance(value, (list, tuple, set, frozenset)):
+        elif isinstance(value, (list, tuple)):
+            converted[key] = ",".join(map(str, value))
+        elif isinstance(value, (set, frozenset)):
             converted[key] = ",".join(str(v) for v in sorted(value, key=str))
         elif isinstance(value, float):
             converted[key] = f"{value:.6f}"

@@ -332,7 +332,7 @@ class OlsrNode(RoutingProtocol):
         self.stats.record_sent("HNA")
         self.log.log(self.now, LogCategory.MESSAGE_TX, "HNA",
                      seq=message.message_seq_number,
-                     networks=[f"{net}/{mask}" for net, mask in hna.networks])
+                     networks=sorted(f"{net}/{mask}" for net, mask in hna.networks))
 
     # -------------------------------------------------------------- reception
     def handle_control(self, payload: object, last_hop: str) -> None:
@@ -546,7 +546,7 @@ class OlsrNode(RoutingProtocol):
         if changed:
             self.log.log(self.now, LogCategory.TOPOLOGY, "TOPOLOGY_UPDATED",
                          origin=message.originator, kind="hna",
-                         networks=[f"{net}/{mask}" for net, mask in hna.networks])
+                         networks=sorted(f"{net}/{mask}" for net, mask in hna.networks))
 
     def external_route_for(self, network: str) -> Optional[str]:
         """Next hop toward an external ``network`` announced via HNA.

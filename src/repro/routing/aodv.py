@@ -367,7 +367,7 @@ class AodvNode(RoutingProtocol):
     def _on_rerr(self, rerr: RouteError, last_hop: str) -> None:
         self.log.log(self.now, LogCategory.MESSAGE_RX, "RERR",
                      origin=rerr.originator, last_hop=last_hop,
-                     unreachable=[d for d, _ in rerr.unreachable])
+                     unreachable=sorted(d for d, _ in rerr.unreachable))
         invalidated: List[Tuple[str, int]] = []
         for destination, seq in rerr.unreachable:
             route = self.routes.get(destination)
@@ -386,7 +386,7 @@ class AodvNode(RoutingProtocol):
         self.interface.broadcast(rerr, size_bytes=rerr.size_bytes())
         self.stats.record_sent("RERR")
         self.log.log(self.now, LogCategory.MESSAGE_TX, "RERR",
-                     unreachable=[d for d, _ in rerr.unreachable])
+                     unreachable=sorted(d for d, _ in rerr.unreachable))
 
     # ------------------------------------------------------------- data plane
     def _on_no_route(self, packet: DataPacket) -> bool:

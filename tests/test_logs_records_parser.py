@@ -17,9 +17,11 @@ from repro.logs.records import LogCategory, LogRecord, make_record
 
 def test_make_record_converts_values_to_strings():
     record = make_record(1.5, "n1", LogCategory.MPR, "MPR_SELECTED",
-                         mpr="n2", covered=["b", "a"], count=3, ratio=0.25)
+                         mpr="n2", covered={"b", "a"}, path=["b", "a"], count=3,
+                         ratio=0.25)
     assert record.fields["mpr"] == "n2"
-    assert record.fields["covered"] == "a,b"
+    assert record.fields["covered"] == "a,b"  # sets are sorted
+    assert record.fields["path"] == "b,a"  # sequences keep their order
     assert record.fields["count"] == "3"
     assert record.fields["ratio"].startswith("0.25")
 
@@ -120,3 +122,24 @@ def test_dump_and_load_many_records():
 def test_category_str_is_wire_value():
     assert str(LogCategory.MESSAGE_RX) == "MSG_RX"
     assert LogCategory("MSG_RX") is LogCategory.MESSAGE_RX
+
+
+@pytest.mark.parametrize("value", [
+    'a b"c', '"q"', '"', "\\", '\\"', "end\\", "back\\slash and space",
+    "two\nlines", "\\n is not a newline", "k=v \"x=y\"",
+])
+def test_quotes_backslashes_and_newlines_round_trip(value):
+    record = make_record(1.0, "n1", LogCategory.SYSTEM, "CONFIG", note=value, tail="x")
+    line = format_record(record)
+    assert "\n" not in line
+    assert parse_line(line).fields == record.fields
+    loaded = load_records(dump_records([record, record]))
+    assert [r.fields for r in loaded] == [record.fields, record.fields]
+
+
+def test_values_without_quotes_backslashes_or_newlines_format_as_before():
+    record = LogRecord(1.0, "n1", LogCategory.SYSTEM, "CONFIG",
+                       {"a": "x\\y", "b": "two words", "c": "", "d": "k=v"})
+    assert format_record(record) == (
+        't=1.000000 node=n1 cat=SYSTEM event=CONFIG a=x\\y b="two words" c="" d=k=v')
+    assert parse_line(format_record(record)).fields == record.fields

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.decision import aggregate_detection, decide, DecisionOutcome
 from repro.logs.parser import format_record, parse_line
 from repro.logs.records import LogCategory, make_record
+from repro.logs.store import LogStore
 from repro.olsr.mpr import mpr_coverage_complete, select_mprs
 from repro.trust.confidence import (
     effective_sample_size,
@@ -34,7 +35,8 @@ _field_keys = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_si
     lambda key: key not in {"time", "node", "category", "event"}
 )
 _field_values = st.text(
-    alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), whitelist_characters="-_.:, "),
+    alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"),
+                           whitelist_characters='-_.:, "\\\n='),
     max_size=20,
 )
 
@@ -55,6 +57,31 @@ def test_log_record_text_roundtrip(time, node, category, event, fields):
     assert parsed.event == record.event
     assert abs(parsed.time - record.time) < 1e-5
     assert parsed.fields == record.fields
+
+
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            st.sampled_from(list(LogCategory)),
+            st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ_", min_size=1, max_size=16),
+            st.dictionaries(_field_keys, _field_values, max_size=5),
+        ),
+        max_size=8,
+    )
+)
+@settings(max_examples=100)
+def test_log_store_text_dump_roundtrip(entries):
+    store = LogStore("n1")
+    for time, category, event, fields in entries:
+        store.log(time, category, event, **fields)
+    reloaded = LogStore.from_text("n1", store.dump_text())
+    assert len(reloaded) == len(store)
+    for parsed, record in zip(reloaded, store):
+        assert (parsed.node, parsed.category, parsed.event) == \
+            (record.node, record.category, record.event)
+        assert abs(parsed.time - record.time) < 1e-5
+        assert parsed.fields == record.fields
 
 
 # ----------------------------------------------------------------------- MPR

@@ -133,3 +133,13 @@ def test_neighbor_expiry_after_node_failure(geo_chain):
     assert removed
     # With its only neighbour gone, A cannot route anywhere.
     assert nodes["A"].next_hop("D") is None
+
+
+def test_beacon_record_logs_position_as_x_then_y():
+    """The beacon's position is an ordered pair: x first, never sorted."""
+    network, nodes = make_geo_network({"A": (530.25, 41.0), "B": (600.0, 41.0)})
+    network.run(until=BEACON_TIME)
+    beacons = nodes["A"].log.by_event("GEO_BEACON")
+    assert beacons
+    assert {record.get("position") for record in beacons} == {"530.25,41.0"}
+    assert "position=530.25,41.0" in nodes["A"].log.dump_text()
